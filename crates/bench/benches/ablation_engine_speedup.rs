@@ -48,7 +48,7 @@ use gpgpu_covert::bits::Message;
 use gpgpu_covert::cache_channel::L1Channel;
 use gpgpu_covert::harness::{Trial, TrialRunner};
 use gpgpu_sim::{DeviceTuning, EngineMode};
-use gpgpu_spec::presets;
+use gpgpu_spec::{presets, Family};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -293,7 +293,7 @@ fn bench(c: &mut Criterion) {
     let grid: [u64; 6] = [20, 12, 8, 4, 2, 1];
     let sweep_msg = Message::pseudo_random(64, 3);
     let char_start = Instant::now();
-    let model = AnalyticalModel::characterize_families(&presets::tesla_k40c(), &["l1"])
+    let model = AnalyticalModel::characterize_families(&presets::tesla_k40c(), &[Family::L1])
         .expect("l1 characterization succeeds");
     let char_s = char_start.elapsed().as_secs_f64();
     let channel = L1Channel::new(presets::tesla_k40c())
@@ -310,7 +310,7 @@ fn bench(c: &mut Criterion) {
         unpruned_s = unpruned_s.min(start.elapsed().as_secs_f64());
         let start = Instant::now();
         let (pts, m) = model
-            .pruned_error_rate_sweep(&runner, &channel, "l1", &sweep_msg, &grid)
+            .pruned_error_rate_sweep(&runner, &channel, Family::L1, &sweep_msg, &grid)
             .expect("pruned sweep runs");
         pruned_s = pruned_s.min(start.elapsed().as_secs_f64());
         pruned_pts = pts;
@@ -354,14 +354,14 @@ fn bench(c: &mut Criterion) {
     // --- 6b. The same pruned-sweep contract on the sub-core Ampere device:
     // the arch-generic characterization must fit the modern core well enough
     // that filled cells stay in the BER band and no confident verdict flips.
-    let ampere_model = AnalyticalModel::characterize_families(&presets::rtx_a4000(), &["l1"])
+    let ampere_model = AnalyticalModel::characterize_families(&presets::rtx_a4000(), &[Family::L1])
         .expect("ampere l1 characterization succeeds");
     let ampere_channel = L1Channel::new(presets::rtx_a4000())
         .with_tuning(DeviceTuning { engine: EngineMode::EventDriven, ..DeviceTuning::none() });
     let ampere_unpruned =
         ampere_channel.error_rate_sweep_on(&runner, &sweep_msg, &grid).expect("ampere sweep runs");
     let (ampere_pruned, ampere_mask) = ampere_model
-        .pruned_error_rate_sweep(&runner, &ampere_channel, "l1", &sweep_msg, &grid)
+        .pruned_error_rate_sweep(&runner, &ampere_channel, Family::L1, &sweep_msg, &grid)
         .expect("ampere pruned sweep runs");
     let ampere_simulated = ampere_mask.iter().filter(|&&keep| keep).count();
     let mut ampere_max_ber_err: f64 = 0.0;

@@ -13,8 +13,8 @@
 //! seconds; the assertions are identical in both modes.
 
 use gpgpu_covert::arena::{run_arena, ArenaConfig, ArenaReport, Attacker};
-use gpgpu_covert::mitigations::{ChannelFamily, MitigationVerdict};
-use gpgpu_spec::{presets, DeviceSpec};
+use gpgpu_covert::mitigations::MitigationVerdict;
+use gpgpu_spec::{presets, DeviceSpec, Family};
 use std::time::Instant;
 
 use gpgpu_bench::quick;
@@ -35,7 +35,7 @@ fn tournament(spec: DeviceSpec, bits: usize) -> ArenaReport {
     );
 
     // Undefended, every static on-chip family delivers.
-    for family in ChannelFamily::ALL {
+    for family in Family::MATRIX {
         let cell = report.cell(Attacker::Static(family), "none").expect("baseline column");
         assert!(
             cell.delivered && cell.residual_bandwidth_kbps > 0.0,
@@ -44,7 +44,7 @@ fn tournament(spec: DeviceSpec, bits: usize) -> ArenaReport {
     }
 
     // Cache partitioning zeroes the static L1 row...
-    let l1 = report.cell(Attacker::Static(ChannelFamily::L1), "partition=2").unwrap();
+    let l1 = report.cell(Attacker::Static(Family::L1), "partition=2").unwrap();
     assert_eq!(l1.verdict, Some(MitigationVerdict::Effective), "{device}: {l1:?}");
     assert_eq!(l1.residual_bandwidth_kbps, 0.0, "{device}: {l1:?}");
 

@@ -2,10 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpgpu_covert::bits::Message;
-use gpgpu_covert::mitigations::{evaluate_against_family, ChannelFamily};
+use gpgpu_covert::mitigations::evaluate_against_family;
 use gpgpu_covert::whitespace::discover_and_transmit;
 use gpgpu_spec::presets;
-use gpgpu_spec::DefenseSpec;
+use gpgpu_spec::{DefenseSpec, Family};
 
 fn bench(c: &mut Criterion) {
     let spec = presets::tesla_k40c();
@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
 
     for defense in ["partition=2", "fuzz=4096"] {
         let defense = DefenseSpec::from_spec(defense).unwrap();
-        let r = evaluate_against_family(&spec, ChannelFamily::L1, &defense, &msg, None).unwrap();
+        let r = evaluate_against_family(&spec, Family::L1, &defense, &msg, None).unwrap();
         println!(
             "sec9 {defense}: baseline BER {:.1}% -> mitigated BER {:.1}%",
             r.baseline.ber * 100.0,
@@ -22,8 +22,7 @@ fn bench(c: &mut Criterion) {
         assert!(r.is_effective(0.2), "{defense} should break the L1 channel");
     }
     let defense = DefenseSpec::from_spec("randsched=0xd1ce").unwrap();
-    let r =
-        evaluate_against_family(&spec, ChannelFamily::ParallelSfu, &defense, &msg, None).unwrap();
+    let r = evaluate_against_family(&spec, Family::ParallelSfu, &defense, &msg, None).unwrap();
     println!(
         "sec9 {defense}: baseline BER {:.1}% -> mitigated BER {:.1}%",
         r.baseline.ber * 100.0,
@@ -44,9 +43,7 @@ fn bench(c: &mut Criterion) {
 
     let partition = DefenseSpec::from_spec("partition=2").unwrap();
     c.bench_function("sec9_partitioning_eval_16bits", |b| {
-        b.iter(|| {
-            evaluate_against_family(&spec, ChannelFamily::L1, &partition, &msg, None).unwrap()
-        })
+        b.iter(|| evaluate_against_family(&spec, Family::L1, &partition, &msg, None).unwrap())
     });
 }
 

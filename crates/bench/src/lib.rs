@@ -22,40 +22,37 @@ pub mod report;
 /// silently ignored (`GPGPU_BENCH_QUICK=true` used to quietly run the full
 /// suite while looking like a smoke run).
 pub fn quick() -> bool {
-    let (quick, rejected) = resolve_quick(std::env::var("GPGPU_BENCH_QUICK"));
-    if let Some(rejected) = rejected {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            eprintln!(
-                "warning: unrecognized GPGPU_BENCH_QUICK value `{rejected}` (expected 0 or 1); \
-                 running the full benchmark"
-            );
-        });
-    }
-    quick
+    gpgpu_covert::env::env_knob(
+        "GPGPU_BENCH_QUICK",
+        "0 or 1; running the full benchmark",
+        false,
+        false,
+        parse_quick,
+    )
 }
 
-/// Testable core of [`quick`]: the resolved flag plus the rejected value,
-/// if any, for the one-time warning.
-fn resolve_quick(raw: Result<String, std::env::VarError>) -> (bool, Option<String>) {
-    match raw.as_deref() {
-        Ok("1") => (true, None),
-        Ok("") | Ok("0") | Err(_) => (false, None),
-        Ok(other) => (false, Some(other.to_string())),
+/// The recognized `GPGPU_BENCH_QUICK` spellings (empty, `0`, `1`).
+fn parse_quick(v: &str) -> Option<bool> {
+    match v {
+        "1" => Some(true),
+        "" | "0" => Some(false),
+        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::resolve_quick;
+    use super::parse_quick;
+    use gpgpu_covert::env::resolve_knob;
 
     #[test]
     fn quick_env_resolution_is_typed() {
         use std::env::VarError;
+        let resolve_quick = |raw| resolve_knob(raw, false, false, parse_quick);
         assert_eq!(resolve_quick(Ok("1".into())), (true, None));
         assert_eq!(resolve_quick(Ok("0".into())), (false, None));
         assert_eq!(resolve_quick(Ok(String::new())), (false, None));
         assert_eq!(resolve_quick(Err(VarError::NotPresent)), (false, None));
-        assert_eq!(resolve_quick(Ok("true".into())), (false, Some("true".to_string())));
+        assert_eq!(resolve_quick(Ok("true".into())), (false, Some("`true`".to_string())));
     }
 }

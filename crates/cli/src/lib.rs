@@ -11,15 +11,13 @@ use gpgpu_covert::cache_channel::{L1Channel, L2Channel};
 use gpgpu_covert::colocation::{reverse_engineer_block_scheduler, reverse_engineer_warp_scheduler};
 use gpgpu_covert::fu_channel::SfuChannel;
 use gpgpu_covert::linkmon::{AdaptiveLink, LinkEnvironment};
-use gpgpu_covert::mitigations::{
-    contention_detection_margin, evaluate_against_family, ChannelFamily,
-};
+use gpgpu_covert::mitigations::{contention_detection_margin, evaluate_against_family};
 use gpgpu_covert::noise::{run_sync_with_noise, NoiseKind};
 use gpgpu_covert::nvlink_channel::NvlinkChannel;
 use gpgpu_covert::parallel::ParallelSfuChannel;
 use gpgpu_covert::sync_channel::SyncChannel;
 use gpgpu_sim::{DeviceTuning, EngineMode, LatencyTable};
-use gpgpu_spec::{presets, DefenseSpec, DeviceSpec, TopologySpec};
+use gpgpu_spec::{presets, DefenseSpec, DeviceSpec, Family, TopologySpec};
 use std::fmt::Write as _;
 
 /// Usage text printed on argument errors and `help`.
@@ -733,7 +731,7 @@ pub fn run(args: &Args) -> Result<String, String> {
             {
                 let defense = DefenseSpec::from_spec(d).map_err(|e| e.to_string())?;
                 let _ = writeln!(out, "{defense}:");
-                for family in ChannelFamily::ALL {
+                for family in Family::MATRIX {
                     let r = evaluate_against_family(&spec, family, &defense, &msg, Some(&topology))
                         .map_err(|e| e.to_string())?;
                     engine.merge(&r.baseline.stats);
@@ -865,10 +863,11 @@ pub fn run(args: &Args) -> Result<String, String> {
 /// (the line CI greps for).
 fn run_l1_analytical(spec: &DeviceSpec, msg: &Message) -> Result<String, String> {
     let mut out = String::new();
-    let model = AnalyticalModel::characterize_families(spec, &["l1"]).map_err(|e| e.to_string())?;
+    let model =
+        AnalyticalModel::characterize_families(spec, &[Family::L1]).map_err(|e| e.to_string())?;
     let ch = L1Channel::new(spec.clone());
     let knob = ch.iterations as f64;
-    let pred = model.predict("l1", knob, msg).map_err(|e| e.to_string())?;
+    let pred = model.predict(Family::L1, knob, msg).map_err(|e| e.to_string())?;
     let _ = writeln!(
         out,
         "L1 channel on {} (analytical): {} bits at {} iterations/bit, \
@@ -885,8 +884,8 @@ fn run_l1_analytical(spec: &DeviceSpec, msg: &Message) -> Result<String, String>
         out,
         "model: cycles/bit = {:.1} + {:.1} x iterations (extracted, no cycle loop at predict \
          time)",
-        table.family("l1").map_or(0.0, |m| m.base),
-        table.family("l1").map_or(0.0, |m| m.slope)
+        table.family(Family::L1).map_or(0.0, |m| m.base),
+        table.family(Family::L1).map_or(0.0, |m| m.slope)
     );
     let sim = ch.transmit(msg).map_err(|e| e.to_string())?;
     let sim_verdict = ChannelVerdict::from_ber(sim.ber);

@@ -24,6 +24,10 @@
 //!   kernels draw independent uniform launch jitter, so the "missed
 //!   overlap" region is the corner of a square in the jitter plane.
 //!
+//! Every entry point names a channel by [`Family`]; the relaunch families'
+//! probes build their channels through the one family→channel constructor,
+//! [`build_channel`].
+//!
 //! Cross-validation is a first-class test asset: see
 //! `tests/integration_analytic.rs` for the three-way
 //! Dense/EventDriven/Analytical comparison with the per-family
@@ -31,8 +35,8 @@
 
 use crate::atomic_channel::{AtomicChannel, AtomicScenario};
 use crate::bits::Message;
-use crate::cache_channel::{CacheChannel, L1Channel, L2Channel};
-use crate::fu_channel::SfuChannel;
+use crate::cache_channel::CacheChannel;
+use crate::channel::{build_channel, ChannelConfig};
 use crate::harness::TrialRunner;
 use crate::microbench;
 use crate::nvlink_channel::NvlinkChannel;
@@ -40,7 +44,7 @@ use crate::sync_channel::SyncChannel;
 use crate::CovertError;
 use gpgpu_sim::EngineMode;
 use gpgpu_sim::{FamilyModel, LatencyTable, OpClass};
-use gpgpu_spec::{DeviceSpec, FuOpKind, TopologySpec};
+use gpgpu_spec::{DeviceSpec, Family, FuOpKind, TopologySpec};
 
 /// BER at or above which a channel is considered **dead** — the same bar the
 /// mitigation arena uses for an effective defense (`min_ber` 0.2 in
@@ -95,8 +99,8 @@ impl ChannelVerdict {
 /// One closed-form answer from the analytical model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticalPrediction {
-    /// Family label the prediction is for.
-    pub family: String,
+    /// Family the prediction is for.
+    pub family: Family,
     /// Knob value (iterations / pacing window) the prediction is at.
     pub knob: f64,
     /// Message length in bits.
@@ -171,15 +175,17 @@ impl Tolerance {
     }
 }
 
-/// The documented cross-validation tolerance for a family label. Families
-/// with launch jitter (the cache channels) get a wider BER band — their
+/// The documented cross-validation tolerance for a family. Families with
+/// launch jitter (the cache channels) get a wider BER band — their
 /// simulated BER is one seeded realization of the jitter ensemble the model
 /// predicts the mean of.
-pub fn tolerance(family: &str) -> Tolerance {
+pub fn tolerance(family: Family) -> Tolerance {
     match family {
-        "l1" | "l2" => Tolerance { ber_abs: 0.12, bandwidth_rel: 0.15 },
-        "sync" => Tolerance { ber_abs: 0.05, bandwidth_rel: 0.15 },
-        _ => Tolerance { ber_abs: 0.05, bandwidth_rel: 0.10 },
+        Family::L1 | Family::L2 => Tolerance { ber_abs: 0.12, bandwidth_rel: 0.15 },
+        Family::Sync => Tolerance { ber_abs: 0.05, bandwidth_rel: 0.15 },
+        Family::ParallelSfu | Family::Sfu | Family::Atomic | Family::Nvlink => {
+            Tolerance { ber_abs: 0.05, bandwidth_rel: 0.10 }
+        }
     }
 }
 
@@ -261,35 +267,47 @@ impl AnalyticalModel {
     ///
     /// Propagates the first probe failure.
     pub fn characterize(spec: &DeviceSpec) -> Result<Self, CovertError> {
-        let mut model =
-            AnalyticalModel { spec: spec.clone(), table: LatencyTable::new(spec.name.clone()) };
+        let families = [Family::L1, Family::L2, Family::Sfu, Family::Atomic, Family::Sync];
+        let mut model = Self::characterize_families(spec, &families)?;
         model.extract_op_rows()?;
-        for family in ["l1", "l2", "sfu", "atomic"] {
-            let fitted = model.extract_relaunch_family(family)?;
-            model.table.set_family(fitted);
-        }
-        let sync = model.extract_sync_family()?;
-        model.table.set_family(sync);
         Ok(model)
     }
 
-    /// Targeted characterization: only the named relaunch families (any of
-    /// `l1`, `l2`, `sfu`, `atomic`) — what a sweep pre-pruner runs when it
-    /// only needs one family's model and cannot afford the full suite.
+    /// Targeted characterization: only the named single-GPU families (any
+    /// of `l1`, `l2`, `sfu`, `atomic`, `sync`) — what a sweep pre-pruner
+    /// runs when it only needs one family's model and cannot afford the
+    /// full suite.
     ///
     /// # Errors
     ///
-    /// Propagates the first probe failure; rejects unknown family labels.
+    /// Propagates the first probe failure; [`CovertError::Config`] for
+    /// nvlink (characterized over a topology by
+    /// [`AnalyticalModel::characterize_nvlink`]) and parallel-sfu (which
+    /// has no analytical model).
     pub fn characterize_families(
         spec: &DeviceSpec,
-        families: &[&str],
+        families: &[Family],
     ) -> Result<Self, CovertError> {
         let mut model =
             AnalyticalModel { spec: spec.clone(), table: LatencyTable::new(spec.name.clone()) };
-        for family in families {
-            let fitted = match *family {
-                "sync" => model.extract_sync_family()?,
-                _ => model.extract_relaunch_family(family)?,
+        for &family in families {
+            let fitted = match family {
+                Family::Sync => model.extract_sync_family()?,
+                Family::L1 | Family::L2 | Family::Sfu | Family::Atomic => {
+                    model.extract_relaunch_family(family)?
+                }
+                Family::Nvlink => {
+                    return Err(CovertError::Config {
+                        reason: "the nvlink family is characterized over a topology: use \
+                                 characterize_nvlink"
+                            .into(),
+                    })
+                }
+                Family::ParallelSfu => {
+                    return Err(CovertError::Config {
+                        reason: "the parallel-sfu family has no analytical model".into(),
+                    })
+                }
             };
             model.table.set_family(fitted);
         }
@@ -326,7 +344,7 @@ impl AnalyticalModel {
             (w_hi as f64, results[2].1),
         ]);
         self.table.set_family(FamilyModel {
-            family: "nvlink".into(),
+            family: Family::Nvlink,
             knob: "window".into(),
             fixed,
             base,
@@ -361,27 +379,13 @@ impl AnalyticalModel {
     /// One per-bit-relaunch family (`l1`, `l2`, `sfu`, `atomic`): fits the
     /// affine cycles model from [`CYCLE_PROBES`] and the error curve from
     /// all-ones transmissions at the starved [`ERROR_PROBES`] knobs.
-    fn extract_relaunch_family(&self, family: &str) -> Result<FamilyModel, CovertError> {
+    fn extract_relaunch_family(&self, family: Family) -> Result<FamilyModel, CovertError> {
         let transmit = |iterations: u64, msg: &Message| -> Result<(u64, f64), CovertError> {
-            let o = match family {
-                "l1" => {
-                    L1Channel::new(self.spec.clone()).with_iterations(iterations).transmit(msg)?
-                }
-                "l2" => {
-                    L2Channel::new(self.spec.clone()).with_iterations(iterations).transmit(msg)?
-                }
-                "sfu" => {
-                    SfuChannel::new(self.spec.clone()).with_iterations(iterations).transmit(msg)?
-                }
-                "atomic" => AtomicChannel::new(self.spec.clone(), AtomicScenario::OneAddress)
-                    .with_iterations(iterations)
-                    .transmit(msg)?,
-                other => {
-                    return Err(CovertError::Config {
-                        reason: format!("unknown analytical family `{other}`"),
-                    })
-                }
+            let cfg = ChannelConfig {
+                iterations: Some(iterations),
+                ..ChannelConfig::new(self.spec.clone())
             };
+            let o = build_channel(family, &cfg)?.transmit(msg)?;
             Ok((o.cycles, o.ber))
         };
         let cycle_msg = probe_message();
@@ -412,7 +416,7 @@ impl AnalyticalModel {
         let (base, slope) = fit_affine(&cycle_points);
         let (err_sat, err_knee) = fit_error_curve(&error_points);
         Ok(FamilyModel {
-            family: family.to_string(),
+            family,
             knob: "iterations".into(),
             fixed: 0.0,
             base,
@@ -436,7 +440,7 @@ impl AnalyticalModel {
         let (fixed, base) = fit_affine(&points.iter().map(|&(b, c, _)| (b, c)).collect::<Vec<_>>());
         let worst_ber = points.iter().map(|p| p.2).fold(0.0, f64::max);
         Ok(FamilyModel {
-            family: "sync".into(),
+            family: Family::Sync,
             knob: "none".into(),
             fixed,
             base,
@@ -467,7 +471,7 @@ impl AnalyticalModel {
     /// [`CovertError::Config`] when `family` has not been characterized.
     pub fn predict(
         &self,
-        family: &str,
+        family: Family,
         knob: f64,
         msg: &Message,
     ) -> Result<AnalyticalPrediction, CovertError> {
@@ -479,7 +483,7 @@ impl AnalyticalModel {
         let ones = msg.bits().iter().filter(|&&b| b).count();
         let ber = if bits == 0 { 0.0 } else { m.one_bit_failure(knob) * ones as f64 / bits as f64 };
         Ok(AnalyticalPrediction {
-            family: family.to_string(),
+            family,
             knob,
             bits,
             cycles,
@@ -498,7 +502,12 @@ impl AnalyticalModel {
     /// # Errors
     ///
     /// As [`AnalyticalModel::predict`].
-    pub fn interesting(&self, family: &str, knob: f64, msg: &Message) -> Result<bool, CovertError> {
+    pub fn interesting(
+        &self,
+        family: Family,
+        knob: f64,
+        msg: &Message,
+    ) -> Result<bool, CovertError> {
         let p = self.predict(family, knob, msg)?;
         Ok(p.ber > CONFIDENT_WORKS_BER && p.ber < CONFIDENT_DEAD_BER)
     }
@@ -511,7 +520,7 @@ impl AnalyticalModel {
     /// As [`AnalyticalModel::predict`].
     pub fn prune_grid(
         &self,
-        family: &str,
+        family: Family,
         knobs: &[f64],
         msg: &Message,
     ) -> Result<Vec<bool>, CovertError> {
@@ -531,7 +540,7 @@ impl AnalyticalModel {
         &self,
         runner: &TrialRunner,
         channel: &CacheChannel,
-        family: &str,
+        family: Family,
         msg: &Message,
         iteration_counts: &[u64],
     ) -> Result<PrunedSweep, CovertError> {
@@ -569,34 +578,13 @@ pub type PrunedSweep = (Vec<(f64, f64)>, Vec<bool>);
 /// same contract as `GPGPU_TRIAL_WORKERS` (see
 /// [`crate::harness::TrialRunner::new`]).
 pub fn default_engine_mode() -> EngineMode {
-    let (mode, rejected) = resolve_engine(std::env::var("GPGPU_ENGINE"));
-    if let Some(rejected) = rejected {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            eprintln!(
-                "warning: ignoring invalid GPGPU_ENGINE value {rejected} (expected dense, \
-                 event or analytical); using {}",
-                EngineMode::default().label()
-            );
-        });
-    }
-    mode
-}
-
-/// Testable core of [`default_engine_mode`]: the resolved mode plus, when
-/// the variable was present but unusable, the rejected value for the
-/// one-time warning.
-fn resolve_engine(raw: Result<String, std::env::VarError>) -> (EngineMode, Option<String>) {
-    match raw {
-        Ok(v) => match v.parse::<EngineMode>() {
-            Ok(mode) => (mode, None),
-            Err(_) => (EngineMode::default(), Some(format!("`{v}`"))),
-        },
-        Err(std::env::VarError::NotPresent) => (EngineMode::default(), None),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            (EngineMode::default(), Some("<non-unicode>".into()))
-        }
-    }
+    crate::env::env_knob(
+        "GPGPU_ENGINE",
+        &format!("dense, event or analytical; using {}", EngineMode::default().label()),
+        EngineMode::default(),
+        EngineMode::default(),
+        |v| v.parse().ok(),
+    )
 }
 
 #[cfg(test)]
@@ -638,7 +626,7 @@ mod tests {
     #[test]
     fn tolerance_check_reports_each_bound() {
         let pred = AnalyticalPrediction {
-            family: "l1".into(),
+            family: Family::L1,
             knob: 4.0,
             bits: 8,
             cycles: 1000,
@@ -658,6 +646,10 @@ mod tests {
     #[test]
     fn engine_resolution_honors_valid_and_rejects_invalid_values() {
         use std::env::VarError;
+        let resolve_engine = |raw| {
+            let d = EngineMode::default();
+            crate::env::resolve_knob(raw, d, d, |v| v.parse().ok())
+        };
         assert_eq!(resolve_engine(Ok("dense".into())), (EngineMode::Dense, None));
         assert_eq!(resolve_engine(Ok("analytical".into())), (EngineMode::Analytical, None));
         assert_eq!(resolve_engine(Err(VarError::NotPresent)), (EngineMode::EventDriven, None));
@@ -671,12 +663,21 @@ mod tests {
     }
 
     #[test]
+    fn characterize_families_names_what_it_cannot_model() {
+        let spec = gpgpu_spec::presets::tesla_k40c();
+        let nvlink = AnalyticalModel::characterize_families(&spec, &[Family::Nvlink]).unwrap_err();
+        assert!(nvlink.to_string().contains("characterize_nvlink"), "{nvlink}");
+        let psfu = AnalyticalModel::characterize_families(&spec, &[Family::ParallelSfu]);
+        assert!(psfu.unwrap_err().to_string().contains("no analytical model"));
+    }
+
+    #[test]
     fn predict_requires_a_characterized_family() {
         let model = AnalyticalModel::from_table(
             gpgpu_spec::presets::tesla_k40c(),
             LatencyTable::new("kepler"),
         );
-        let e = model.predict("l1", 20.0, &probe_message()).unwrap_err();
+        let e = model.predict(Family::L1, 20.0, &probe_message()).unwrap_err();
         assert!(e.to_string().contains("not in the characterized table"), "{e}");
     }
 }

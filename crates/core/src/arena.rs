@@ -2,8 +2,7 @@
 //!
 //! The paper proposes mitigations but never pits them against an attacker
 //! that *adapts*. This module closes that loop with a full tournament: every
-//! channel family — the five static attackers of
-//! [`mitigations::ChannelFamily`](crate::mitigations::ChannelFamily) plus
+//! channel family — the five static attackers of [`Family::MATRIX`] plus
 //! the adaptive degradation-ladder link of [`crate::linkmon`] as the
 //! headline attacker — against every deployed defense and defense
 //! *combination* ([`DefenseSpec`]), reporting the **residual bandwidth**
@@ -18,17 +17,17 @@
 
 use crate::bits::Message;
 use crate::linkmon::{AdaptiveLink, LadderStage, LinkEnvironment};
-use crate::mitigations::{evaluate_against_family, ChannelFamily, MitigationVerdict};
+use crate::mitigations::{evaluate_against_family, MitigationVerdict};
 use crate::CovertError;
 use gpgpu_spec::topology::canonical_alias;
-use gpgpu_spec::{DefenseSpec, DeviceSpec, TopologySpec};
+use gpgpu_spec::{DefenseSpec, DeviceSpec, Family, TopologySpec};
 use std::fmt::Write as _;
 
 /// One attacker row of the arena matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Attacker {
     /// A single channel family with fixed parameters (no adaptation).
-    Static(ChannelFamily),
+    Static(Family),
     /// The adaptive link layer: framing + ARQ + online recalibration +
     /// the family-fallback degradation ladder.
     Adaptive,
@@ -38,11 +37,11 @@ impl Attacker {
     /// Every attacker, in matrix-row order (static families first, the
     /// adaptive ladder last).
     pub const ALL: [Attacker; 6] = [
-        Attacker::Static(ChannelFamily::L1),
-        Attacker::Static(ChannelFamily::Sync),
-        Attacker::Static(ChannelFamily::ParallelSfu),
-        Attacker::Static(ChannelFamily::Atomic),
-        Attacker::Static(ChannelFamily::Nvlink),
+        Attacker::Static(Family::L1),
+        Attacker::Static(Family::Sync),
+        Attacker::Static(Family::ParallelSfu),
+        Attacker::Static(Family::Atomic),
+        Attacker::Static(Family::Nvlink),
         Attacker::Adaptive,
     ];
 
@@ -312,7 +311,7 @@ impl ArenaReport {
 
 fn static_cell(
     config: &ArenaConfig,
-    family: ChannelFamily,
+    family: Family,
     defense: &DefenseSpec,
     msg: &Message,
 ) -> ArenaCell {
@@ -452,7 +451,7 @@ mod tests {
             .with_bits(8)
             .with_defenses(vec![DefenseSpec::from_spec("fuzz=8").unwrap()]);
         let msg = Message::pseudo_random(8, config.seed);
-        let cell = static_cell(&config, ChannelFamily::L1, &DefenseSpec::none(), &msg);
+        let cell = static_cell(&config, Family::L1, &DefenseSpec::none(), &msg);
         assert!(cell.error.is_none());
         assert!(cell.delivered);
         assert!(cell.residual_bandwidth_kbps > 0.0);

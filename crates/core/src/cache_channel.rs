@@ -50,7 +50,7 @@ pub enum CacheLevel {
 #[derive(Debug, Clone)]
 pub struct CacheChannel {
     spec: DeviceSpec,
-    level: CacheLevel,
+    pub(crate) level: CacheLevel,
     /// Prime/probe iterations per bit. Reducing this raises bandwidth and,
     /// eventually, the error rate (Figure 5).
     pub iterations: u64,

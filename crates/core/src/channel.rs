@@ -1,8 +1,27 @@
-//! Common channel plumbing: transmission outcomes and decode helpers.
+//! Common channel plumbing: transmission outcomes, decode helpers, and the
+//! one family→channel constructor.
+//!
+//! [`build_channel`] is the only place that turns a [`Family`] into a
+//! configured channel; the family-generic layers build through it and drive
+//! the result as a [`CovertChannel`].
 
+use crate::atomic_channel::{AtomicChannel, AtomicScenario};
 use crate::bits::Message;
-use gpgpu_sim::SimStats;
-use gpgpu_spec::DeviceSpec;
+use crate::cache_channel::{CacheChannel, CacheLevel, L1Channel, L2Channel};
+use crate::calibrate::Calibration;
+use crate::fu_channel::SfuChannel;
+use crate::noise::{noise_kernel, NoiseKind};
+use crate::nvlink_channel::NvlinkChannel;
+use crate::parallel::ParallelSfuChannel;
+use crate::sync_channel::SyncChannel;
+use crate::CovertError;
+use gpgpu_sim::{DeviceTuning, FaultPlan, KernelSpec, SimStats};
+use gpgpu_spec::{DeviceSpec, Family, TopologySpec};
+
+/// Noise-kernel inner iterations used when a co-runner rides along a
+/// *per-bit* channel (each bit is its own launch window, so the co-runner
+/// only needs to cover one window, not the whole message).
+const PER_BIT_NOISE_ITERS: u64 = 48;
 
 /// Result of transmitting a message over a covert channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,6 +219,219 @@ pub(crate) fn transmit_per_bit(
     Ok((outcome, dev))
 }
 
+/// A covert channel of any family, as the family-generic layers drive it.
+/// Built by [`build_channel`]; each channel struct keeps its own, richer
+/// inherent API.
+pub trait CovertChannel {
+    /// The family this channel belongs to.
+    fn family(&self) -> Family;
+
+    /// Transmits `msg` under the channel's configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the channel's transmission failures.
+    fn transmit(&self, msg: &Message) -> Result<ChannelOutcome, CovertError>;
+
+    /// Runs the family's pilot handshake over `pilot_bits` known bits under
+    /// the channel's configuration and fits a decode rule.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transmission failures; [`CovertError::Config`] when the
+    /// pilot distributions are inseparable or the family has no pilot.
+    fn calibrate(&self, pilot_bits: usize) -> Result<Calibration, CovertError>;
+}
+
+/// The settings [`build_channel`] applies to a family's canonical channel.
+/// A family ignores the settings it has no use for: the synchronized and
+/// parallel-SFU channels have no per-bit iteration knob, only nvlink reads
+/// the topology, nvlink ignores on-chip noise, and the atomic and
+/// parallel-SFU channels take no calibration.
+#[derive(Debug, Clone)]
+pub struct ChannelConfig {
+    /// Device the on-chip families run on.
+    pub spec: DeviceSpec,
+    /// Multi-GPU topology; required by [`Family::Nvlink`].
+    pub topology: Option<TopologySpec>,
+    /// Device tuning (a lowered defense) on every device the channel uses.
+    pub tuning: DeviceTuning,
+    /// Per-bit symbol time (iterations / probes per bit); `None` keeps the
+    /// family default.
+    pub iterations: Option<u64>,
+    /// Multiplier on the symbol time — per-bit iterations, or per-round
+    /// redundancy for the synchronized family (the ladder's stretch rung).
+    pub stretch: u32,
+    /// Deterministic fault plan installed for the run.
+    pub faults: Option<FaultPlan>,
+    /// Noise co-runner kinds launched beside the channel kernels.
+    pub noise: Vec<NoiseKind>,
+    /// Noise-kernel inner iterations per launch: the synchronized family's
+    /// single launch uses them all; per-bit families cap them at one bit's
+    /// window.
+    pub noise_iters: u64,
+    /// Fitted decode rule replacing the family's static one.
+    pub calibration: Option<Calibration>,
+}
+
+impl ChannelConfig {
+    /// Family defaults on `spec`: untuned, default symbol time, no
+    /// topology, faults, noise or calibration.
+    pub fn new(spec: DeviceSpec) -> Self {
+        ChannelConfig {
+            spec,
+            topology: None,
+            tuning: DeviceTuning::none(),
+            iterations: None,
+            stretch: 1,
+            faults: None,
+            noise: Vec::new(),
+            noise_iters: 0,
+            calibration: None,
+        }
+    }
+
+    fn symbol_time(&self, default: u64) -> u64 {
+        self.iterations.unwrap_or(default) * u64::from(self.stretch.max(1))
+    }
+
+    fn noise_kernels(&self, per_bit: bool) -> Vec<KernelSpec> {
+        let iters = if per_bit {
+            PER_BIT_NOISE_ITERS.min(self.noise_iters.max(1))
+        } else {
+            self.noise_iters.max(1)
+        };
+        self.noise.iter().map(|&k| noise_kernel(&self.spec, k, iters)).collect()
+    }
+}
+
+/// Builds `family`'s canonical channel under `cfg`.
+///
+/// # Errors
+///
+/// [`CovertError::Config`] for nvlink without a topology (or over an
+/// invalid one) and for parallel-SFU with a fault plan, which that channel
+/// cannot install.
+pub fn build_channel(
+    family: Family,
+    cfg: &ChannelConfig,
+) -> Result<Box<dyn CovertChannel>, CovertError> {
+    let spec = cfg.spec.clone();
+    Ok(match family {
+        Family::L1 | Family::L2 => {
+            let (ch, default) = if family == Family::L1 {
+                (L1Channel::new(spec), crate::cache_channel::DEFAULT_L1_ITERATIONS)
+            } else {
+                (L2Channel::new(spec), crate::cache_channel::DEFAULT_L2_ITERATIONS)
+            };
+            let mut ch = ch
+                .with_tuning(cfg.tuning)
+                .with_iterations(cfg.symbol_time(default))
+                .with_noise(cfg.noise_kernels(true));
+            ch.fault_plan = cfg.faults;
+            ch.calibration = cfg.calibration.clone();
+            Box::new(ch)
+        }
+        Family::Sync => {
+            let mut ch = SyncChannel::new(spec)
+                .with_tuning(cfg.tuning)
+                .with_redundancy(crate::sync_channel::DEFAULT_REDUNDANCY * cfg.stretch.max(1));
+            ch.fault_plan = cfg.faults;
+            ch.noise = cfg.noise_kernels(false);
+            ch.calibration = cfg.calibration.clone();
+            Box::new(ch)
+        }
+        Family::ParallelSfu => {
+            if cfg.faults.is_some() {
+                return Err(CovertError::Config {
+                    reason: "the parallel-sfu family does not support fault injection (drop the \
+                             fault axis for it)"
+                        .into(),
+                });
+            }
+            Box::new(ParallelSfuChannel::new(spec).with_tuning(cfg.tuning))
+        }
+        Family::Sfu => {
+            let mut ch = SfuChannel::new(spec)
+                .with_tuning(cfg.tuning)
+                .with_iterations(cfg.symbol_time(crate::fu_channel::DEFAULT_ITERATIONS))
+                .with_noise(cfg.noise_kernels(true));
+            ch.fault_plan = cfg.faults;
+            ch.calibration = cfg.calibration.clone();
+            Box::new(ch)
+        }
+        Family::Atomic => {
+            let mut ch = AtomicChannel::new(spec, AtomicScenario::OneAddress)
+                .with_tuning(cfg.tuning)
+                .with_iterations(cfg.symbol_time(crate::atomic_channel::DEFAULT_ITERATIONS))
+                .with_noise(cfg.noise_kernels(true));
+            ch.fault_plan = cfg.faults;
+            Box::new(ch)
+        }
+        Family::Nvlink => {
+            let topology = cfg.topology.clone().ok_or_else(|| CovertError::Config {
+                reason: "the nvlink family requires a multi-GPU topology and none was given".into(),
+            })?;
+            // On-chip noise co-runners cannot reach the inter-device link;
+            // the pressure this family feels is the fault plan's
+            // link-congestion kind.
+            let mut ch = NvlinkChannel::new(topology)?
+                .with_tuning(cfg.tuning)
+                .with_iterations(cfg.symbol_time(crate::nvlink_channel::DEFAULT_ITERATIONS));
+            ch.fault_plan = cfg.faults;
+            ch.calibration = cfg.calibration.clone();
+            Box::new(ch)
+        }
+    })
+}
+
+/// The pilot fit of the families that re-measure their contention
+/// threshold on every transmission (atomic, nvlink): the measured
+/// threshold, with a quarter of the per-bit probes as the hot quorum.
+fn threshold_calibration(threshold: u64, iterations: u64) -> Calibration {
+    let iterations = iterations as usize;
+    Calibration::from_spec(threshold + 1, (iterations / 4).max(2).min(iterations))
+}
+
+/// Implements [`CovertChannel`] for a channel struct from its family
+/// (`|channel| ...`), its inherent `transmit`, and its pilot handshake
+/// (`|channel, pilot_bits| ...`).
+macro_rules! covert_channel {
+    ($ty:ty, $family:expr, $pilot:expr) => {
+        impl CovertChannel for $ty {
+            fn family(&self) -> Family {
+                ($family)(self)
+            }
+            fn transmit(&self, msg: &Message) -> Result<ChannelOutcome, CovertError> {
+                <$ty>::transmit(self, msg)
+            }
+            fn calibrate(&self, pilot_bits: usize) -> Result<Calibration, CovertError> {
+                ($pilot)(self, pilot_bits)
+            }
+        }
+    };
+}
+
+covert_channel!(
+    CacheChannel,
+    |ch: &CacheChannel| match ch.level {
+        CacheLevel::L1 => Family::L1,
+        CacheLevel::L2 => Family::L2,
+    },
+    CacheChannel::calibrate
+);
+covert_channel!(SyncChannel, |_| Family::Sync, SyncChannel::calibrate);
+covert_channel!(SfuChannel, |_| Family::Sfu, SfuChannel::calibrate);
+covert_channel!(ParallelSfuChannel, |_| Family::ParallelSfu, |_, _| Err(CovertError::Config {
+    reason: "the parallel-sfu family has no pilot handshake".into()
+}));
+covert_channel!(AtomicChannel, |_| Family::Atomic, |ch: &AtomicChannel, _| Ok(
+    threshold_calibration(ch.calibrate_threshold()?, ch.iterations)
+));
+covert_channel!(NvlinkChannel, |_| Family::Nvlink, |ch: &NvlinkChannel, _| Ok(
+    threshold_calibration(ch.calibrate_threshold()?, ch.iterations)
+));
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,5 +472,20 @@ mod tests {
         assert!(matches!(e, crate::CovertError::InvalidThreshold { .. }), "{e:?}");
         // Non-degenerate thresholds still decode.
         assert!(!decode_from_latencies(&[0, 0, 0], 300, 1).unwrap());
+    }
+
+    #[test]
+    fn every_family_builds_a_channel_of_that_family() {
+        let cfg = ChannelConfig {
+            topology: Some(TopologySpec::dual("kepler").unwrap()),
+            ..ChannelConfig::new(presets::tesla_k40c())
+        };
+        for family in Family::ALL {
+            assert_eq!(build_channel(family, &cfg).unwrap().family(), family);
+        }
+        let err = build_channel(Family::Nvlink, &ChannelConfig::new(presets::tesla_k40c()))
+            .err()
+            .expect("nvlink needs a topology");
+        assert!(err.to_string().contains("requires a multi-GPU topology"), "{err}");
     }
 }

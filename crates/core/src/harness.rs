@@ -275,22 +275,9 @@ fn mix_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Resolves the worker count from the raw `GPGPU_TRIAL_WORKERS` lookup.
-/// Returns the count plus, when the variable was present but unusable, a
-/// printable description of the rejected value for the one-time warning
-/// (`None` means the variable was honored or simply absent).
-fn resolve_workers(
-    raw: Result<String, std::env::VarError>,
-    default: usize,
-) -> (usize, Option<String>) {
-    match raw {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(w) if w >= 1 => (w, None),
-            _ => (default, Some(format!("`{v}`"))),
-        },
-        Err(std::env::VarError::NotPresent) => (default, None),
-        Err(std::env::VarError::NotUnicode(_)) => (default, Some("<non-unicode>".into())),
-    }
+/// The accepted `GPGPU_TRIAL_WORKERS` values: positive integers.
+fn parse_workers(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&w| w >= 1)
 }
 
 impl TrialRunner {
@@ -304,16 +291,13 @@ impl TrialRunner {
     /// `GPGPU_TRIAL_WORKERS=O1` indistinguishable from an honored one.
     pub fn new() -> Self {
         let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let (workers, rejected) = resolve_workers(std::env::var("GPGPU_TRIAL_WORKERS"), default);
-        if let Some(rejected) = rejected {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: ignoring invalid GPGPU_TRIAL_WORKERS value {rejected} \
-                     (expected a positive integer); using {default} worker(s)"
-                );
-            });
-        }
+        let workers = crate::env::env_knob(
+            "GPGPU_TRIAL_WORKERS",
+            &format!("a positive integer; using {default} worker(s)"),
+            default,
+            default,
+            parse_workers,
+        );
         TrialRunner { workers, base_seed: DEFAULT_BASE_SEED, deadline: None }
     }
 
@@ -744,7 +728,9 @@ mod tests {
 
     #[test]
     fn worker_resolution_honors_valid_and_rejects_invalid_values() {
+        use crate::env::resolve_knob;
         use std::env::VarError;
+        let resolve_workers = |raw, default| resolve_knob(raw, default, default, parse_workers);
         // Honored.
         assert_eq!(resolve_workers(Ok("4".into()), 8), (4, None));
         // Absent: default, no warning.

@@ -32,6 +32,7 @@
 //! | [`analytic`] | — | closed-form bandwidth/BER predictor characterized from the cycle engine; sweep pre-pruner |
 //! | [`harness`] | — | deterministic multi-threaded trial runner powering every sweep |
 //! | [`pool`] | — | thread-local device pool: per-trial runs reuse warmed allocations behind pristine snapshots |
+//! | [`env`](mod@env) | — | the one resolver for the `GPGPU_*` environment knobs |
 //!
 //! # Quickstart
 //!
@@ -59,6 +60,7 @@ pub mod cache_channel;
 pub mod calibrate;
 pub mod channel;
 pub mod colocation;
+pub mod env;
 mod error;
 pub mod framing;
 pub mod fu_channel;

@@ -18,7 +18,9 @@
 //! * [`FamilyPipe`] adapts each channel family to the
 //!   [`BitPipe`](crate::framing::BitPipe) transport under one shared
 //!   [`LinkEnvironment`] (fault plan + noise co-runners), so escalation
-//!   compares families under the *same* adversarial conditions.
+//!   compares families under the *same* adversarial conditions. It builds
+//!   every channel through [`build_channel`]; the ladder's rungs are named
+//!   by [`ChannelFamily`], a label layer over [`Family`].
 //!
 //! The fallback order exploits resource disjointness: a constant-cache hog
 //! (the paper's Heart-Wall-like co-runner) kills both cache channels but
@@ -29,23 +31,15 @@
 //! signals through inter-device link contention, which no on-chip co-runner
 //! touches.
 
-use crate::atomic_channel::{AtomicChannel, AtomicScenario};
 use crate::bits::Message;
 use crate::calibrate::Calibration;
+use crate::channel::{build_channel, ChannelConfig, CovertChannel};
 use crate::framing::{arq_transmit_observed, ArqConfig, ArqReport, BitPipe, PipeRun};
-use crate::fu_channel::SfuChannel;
-use crate::noise::{noise_kernel, NoiseKind};
-use crate::nvlink_channel::NvlinkChannel;
-use crate::sync_channel::SyncChannel;
+use crate::noise::NoiseKind;
 use crate::CovertError;
 use gpgpu_sim::DeviceTuning;
-use gpgpu_spec::{DefenseSpec, DeviceSpec, TopologySpec};
+use gpgpu_spec::{DefenseSpec, DeviceSpec, Family, TopologySpec};
 use std::fmt;
-
-/// Noise-kernel inner iterations used when a co-runner rides along a
-/// *per-bit* channel (each bit is its own launch window, so the co-runner
-/// only needs to cover one window, not the whole message).
-const PER_BIT_NOISE_ITERS: u64 = 48;
 
 /// Fault-plan round key reserved for calibration pilots, far outside the
 /// ARQ round space so a pilot never reuses a data round's fault phase.
@@ -107,9 +101,17 @@ impl LinkMonitor {
     }
 }
 
-/// The channel families the link layer can hop between. Ordered by
-/// bandwidth on a quiet device; resource-disjoint under attack (a cache hog
-/// does not touch the atomic units or the SFUs).
+/// The ladder's rung names: the channel families the link layer can hop
+/// between. Ordered by bandwidth on a quiet device; resource-disjoint under
+/// attack (a cache hog does not touch the atomic units or the SFUs).
+///
+/// This is a naming layer over [`Family`], not a second family type: it
+/// carries no per-family logic, and [`ChannelFamily::family`] is how every
+/// rung reaches its channel. It stays only for its labels: the sync rung is
+/// `l1-sync` in escalation traces (`BENCH_arena.json`) and in the
+/// `perfbench` ladder digest, while sweep keys, arena rows and the
+/// `perfbench` sweep digest spell [`Family::Sync`] as `sync`; and
+/// `perfbench` names the `Atomic` and `Sfu` rungs directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelFamily {
     /// The synchronized constant-L1 prime+probe channel (fastest).
@@ -129,9 +131,17 @@ impl ChannelFamily {
     pub fn label(self) -> &'static str {
         match self {
             ChannelFamily::CacheL1Sync => "l1-sync",
-            ChannelFamily::Atomic => "atomic",
-            ChannelFamily::Sfu => "sfu",
-            ChannelFamily::Nvlink => "nvlink",
+            rung => rung.family().label(),
+        }
+    }
+
+    /// The channel family this rung runs.
+    pub fn family(self) -> Family {
+        match self {
+            ChannelFamily::CacheL1Sync => Family::Sync,
+            ChannelFamily::Atomic => Family::Atomic,
+            ChannelFamily::Sfu => Family::Sfu,
+            ChannelFamily::Nvlink => Family::Nvlink,
         }
     }
 }
@@ -247,11 +257,9 @@ impl LinkEnvironment {
 /// are launched fresh every round/bit so the interference is persistent.
 #[derive(Debug, Clone)]
 pub struct FamilyPipe {
-    spec: DeviceSpec,
     family: ChannelFamily,
-    env: LinkEnvironment,
-    calibration: Option<Calibration>,
-    stretch: u32,
+    /// Every round's channel settings, before the per-round fault reseed.
+    config: ChannelConfig,
     backoff_level: u64,
 }
 
@@ -259,12 +267,20 @@ impl FamilyPipe {
     /// A pipe for `family` over `env` with static thresholds and no
     /// symbol-time stretch.
     pub fn new(spec: DeviceSpec, family: ChannelFamily, env: LinkEnvironment) -> Self {
-        FamilyPipe { spec, family, env, calibration: None, stretch: 1, backoff_level: 0 }
+        let config = ChannelConfig {
+            topology: env.topology,
+            tuning: env.tuning,
+            faults: env.faults,
+            noise: env.noise,
+            noise_iters: env.noise_iters,
+            ..ChannelConfig::new(spec)
+        };
+        FamilyPipe { family, config, backoff_level: 0 }
     }
 
     /// Decodes with a fitted calibration instead of the static rule.
     pub fn with_calibration(mut self, cal: Calibration) -> Self {
-        self.calibration = Some(cal);
+        self.config.calibration = Some(cal);
         self
     }
 
@@ -272,7 +288,7 @@ impl FamilyPipe {
     /// family, per-bit iterations for the others) — the "stretch" rung of
     /// the degradation ladder.
     pub fn with_stretch(mut self, stretch: u32) -> Self {
-        self.stretch = stretch.max(1);
+        self.config.stretch = stretch.max(1);
         self
     }
 
@@ -281,71 +297,11 @@ impl FamilyPipe {
         self.family
     }
 
-    fn fault_plan_for(&self, round_key: u64) -> Option<gpgpu_sim::FaultPlan> {
-        self.env.faults.map(|p| p.reseeded(round_key ^ (self.backoff_level << 32)))
-    }
-
-    fn noise_kernels(&self, per_bit: bool) -> Vec<gpgpu_sim::KernelSpec> {
-        let iters = if per_bit {
-            PER_BIT_NOISE_ITERS.min(self.env.noise_iters.max(1))
-        } else {
-            self.env.noise_iters.max(1)
-        };
-        self.env.noise.iter().map(|&k| noise_kernel(&self.spec, k, iters)).collect()
-    }
-
-    fn sync_channel(&self, round_key: u64) -> SyncChannel {
-        let mut ch = SyncChannel::new(self.spec.clone())
-            .with_tuning(self.env.tuning)
-            .with_redundancy(crate::sync_channel::DEFAULT_REDUNDANCY * self.stretch);
-        if let Some(plan) = self.fault_plan_for(round_key) {
-            ch = ch.with_faults(plan);
-        }
-        if let Some(cal) = &self.calibration {
-            ch = ch.with_calibration(cal.clone());
-        }
-        ch
-    }
-
-    fn sfu_channel(&self, round_key: u64) -> SfuChannel {
-        let mut ch = SfuChannel::new(self.spec.clone())
-            .with_tuning(self.env.tuning)
-            .with_iterations(crate::fu_channel::DEFAULT_ITERATIONS * u64::from(self.stretch))
-            .with_noise(self.noise_kernels(true));
-        if let Some(plan) = self.fault_plan_for(round_key) {
-            ch = ch.with_faults(plan);
-        }
-        if let Some(cal) = &self.calibration {
-            ch = ch.with_calibration(cal.clone());
-        }
-        ch
-    }
-
-    fn nvlink_channel(&self, round_key: u64) -> Result<NvlinkChannel, CovertError> {
-        let topology = self.env.topology.clone().ok_or_else(|| CovertError::Config {
-            reason: "nvlink family requires a multi-GPU topology in the link environment".into(),
-        })?;
-        let mut ch = NvlinkChannel::new(topology)?
-            .with_tuning(self.env.tuning)
-            .with_iterations(crate::nvlink_channel::DEFAULT_ITERATIONS * u64::from(self.stretch));
-        if let Some(plan) = self.fault_plan_for(round_key) {
-            ch = ch.with_faults(plan);
-        }
-        // On-chip noise co-runners cannot reach the inter-device link, so
-        // none are attached; the adversarial pressure the nvlink family
-        // feels is the fault plan's link-congestion kind.
-        Ok(ch)
-    }
-
-    fn atomic_channel(&self, round_key: u64) -> AtomicChannel {
-        let mut ch = AtomicChannel::new(self.spec.clone(), AtomicScenario::OneAddress)
-            .with_tuning(self.env.tuning)
-            .with_iterations(crate::atomic_channel::DEFAULT_ITERATIONS * u64::from(self.stretch))
-            .with_noise(self.noise_kernels(true));
-        if let Some(plan) = self.fault_plan_for(round_key) {
-            ch = ch.with_faults(plan);
-        }
-        ch
+    /// The family's channel for one round, its fault plan reseeded per
+    /// round and per backoff level.
+    fn channel(&self, round_key: u64) -> Result<Box<dyn CovertChannel>, CovertError> {
+        let faults = self.config.faults.map(|p| p.reseeded(round_key ^ (self.backoff_level << 32)));
+        build_channel(self.family.family(), &ChannelConfig { faults, ..self.config.clone() })
     }
 
     /// Runs the family's pilot handshake under the pipe's environment and
@@ -354,48 +310,17 @@ impl FamilyPipe {
     /// # Errors
     ///
     /// Propagates transmission failures; [`CovertError::Config`] when the
-    /// pilot distributions are inseparable. The atomic family re-measures
-    /// its contention threshold on every transmission already, so its pilot
-    /// just wraps that measurement.
+    /// pilot distributions are inseparable. The atomic and nvlink families
+    /// re-measure their contention threshold on every transmission
+    /// already, so their pilot just wraps that measurement.
     pub fn calibrate(&self, pilot_bits: usize) -> Result<Calibration, CovertError> {
-        match self.family {
-            ChannelFamily::CacheL1Sync => self
-                .sync_channel(PILOT_ROUND_KEY)
-                .calibrate_with_noise(pilot_bits, self.noise_kernels(false)),
-            ChannelFamily::Sfu => self.sfu_channel(PILOT_ROUND_KEY).calibrate(pilot_bits),
-            ChannelFamily::Atomic => {
-                let ch = self.atomic_channel(PILOT_ROUND_KEY);
-                let threshold = ch.calibrate_threshold()?;
-                let min_hot = ((ch.iterations as usize) / 4).max(2).min(ch.iterations as usize);
-                Ok(Calibration::from_spec(threshold + 1, min_hot))
-            }
-            ChannelFamily::Nvlink => {
-                let ch = self.nvlink_channel(PILOT_ROUND_KEY)?;
-                let threshold = ch.calibrate_threshold()?;
-                let min_hot = ((ch.iterations as usize) / 4).max(2).min(ch.iterations as usize);
-                Ok(Calibration::from_spec(threshold + 1, min_hot))
-            }
-        }
+        self.channel(PILOT_ROUND_KEY)?.calibrate(pilot_bits)
     }
 }
 
 impl BitPipe for FamilyPipe {
     fn send(&mut self, round: usize, bits: &Message) -> Result<PipeRun, CovertError> {
-        let key = round as u64;
-        let outcome = match self.family {
-            ChannelFamily::CacheL1Sync => {
-                self.sync_channel(key).transmit_with_noise(bits, self.noise_kernels(false))?.outcome
-            }
-            ChannelFamily::Atomic => self.atomic_channel(key).transmit(bits)?,
-            ChannelFamily::Sfu => self.sfu_channel(key).transmit(bits)?,
-            ChannelFamily::Nvlink => {
-                let mut ch = self.nvlink_channel(key)?;
-                if let Some(cal) = &self.calibration {
-                    ch = ch.with_calibration(cal.clone());
-                }
-                ch.transmit(bits)?
-            }
-        };
+        let outcome = self.channel(round as u64)?.transmit(bits)?;
         Ok(PipeRun { received: outcome.received, cycles: outcome.cycles })
     }
 

@@ -14,129 +14,16 @@
 //!
 //! Defenses are evaluated as composable [`DefenseSpec`]s: one spec may stack
 //! several mitigation classes, and [`evaluate_against_family`] runs any spec
-//! against any of the five channel families with a single code path.
+//! against any channel [`Family`] through the one family→channel
+//! constructor, [`build_channel`].
 
-use crate::atomic_channel::{AtomicChannel, AtomicScenario};
 use crate::bits::Message;
-use crate::cache_channel::L1Channel;
-use crate::channel::ChannelOutcome;
-use crate::nvlink_channel::NvlinkChannel;
-use crate::parallel::ParallelSfuChannel;
+use crate::channel::{build_channel, ChannelConfig, ChannelOutcome};
 use crate::sync_channel::SyncChannel;
 use crate::CovertError;
 use gpgpu_sim::DeviceTuning;
-use gpgpu_spec::{DefenseComponent, DefenseSpec, DeviceSpec, LaunchConfig, TopologySpec};
+use gpgpu_spec::{DefenseSpec, DeviceSpec, Family, LaunchConfig, TopologySpec};
 use std::fmt;
-
-/// One of the paper's Section-9 mitigation classes, parameterized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mitigation {
-    /// Static cache partitioning into `partitions` per-kernel regions.
-    CachePartitioning {
-        /// Number of partitions (>= 2 to have any effect).
-        partitions: u32,
-    },
-    /// Keyed-hash warp -> scheduler assignment.
-    RandomizedWarpScheduling {
-        /// Hash seed (changes per boot on a real implementation).
-        seed: u64,
-    },
-    /// Quantized `clock()` reads.
-    ClockFuzzing {
-        /// Quantum in cycles; must exceed the hit/miss latency gap to be
-        /// effective.
-        granularity: u64,
-    },
-}
-
-impl Mitigation {
-    /// The device tuning implementing this mitigation **alone**.
-    ///
-    /// To stack several mitigations, do not overwrite one tuning with
-    /// another — combine them with [`DeviceTuning::merge`] (or go through
-    /// [`Mitigation::to_defense`] and [`DefenseSpec::compose`], which
-    /// lower onto a merged tuning).
-    pub fn tuning(self) -> DeviceTuning {
-        DeviceTuning::from_defense(&self.to_defense())
-    }
-
-    /// This mitigation as a single-component composable [`DefenseSpec`].
-    pub fn to_defense(self) -> DefenseSpec {
-        let component = match self {
-            Mitigation::CachePartitioning { partitions } => {
-                DefenseComponent::CachePartitioning { partitions }
-            }
-            Mitigation::RandomizedWarpScheduling { seed } => {
-                DefenseComponent::RandomizedWarpScheduling { seed }
-            }
-            Mitigation::ClockFuzzing { granularity } => {
-                DefenseComponent::ClockFuzzing { granularity }
-            }
-        };
-        DefenseSpec::single(component).expect("mitigation parameters are in range")
-    }
-}
-
-impl fmt::Display for Mitigation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Mitigation::CachePartitioning { partitions } => {
-                write!(f, "cache partitioning ({partitions} regions)")
-            }
-            Mitigation::RandomizedWarpScheduling { seed } => {
-                write!(f, "randomized warp scheduling (seed {seed:#x})")
-            }
-            Mitigation::ClockFuzzing { granularity } => {
-                write!(f, "clock fuzzing ({granularity}-cycle quantum)")
-            }
-        }
-    }
-}
-
-/// The five covert-channel families the simulator can pit a defense
-/// against — the evaluation axis of the Section-9 matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChannelFamily {
-    /// Unsynchronized L1 constant-cache prime+probe.
-    L1,
-    /// Synchronized (handshaked) L1 constant-cache channel.
-    Sync,
-    /// Per-warp-scheduler parallel SFU contention lanes.
-    ParallelSfu,
-    /// Atomic-unit contention on global memory.
-    Atomic,
-    /// Cross-device NvLink congestion (needs a multi-GPU topology).
-    Nvlink,
-}
-
-impl ChannelFamily {
-    /// Every family, in matrix-row order.
-    pub const ALL: [ChannelFamily; 5] = [
-        ChannelFamily::L1,
-        ChannelFamily::Sync,
-        ChannelFamily::ParallelSfu,
-        ChannelFamily::Atomic,
-        ChannelFamily::Nvlink,
-    ];
-
-    /// Short human-readable label ("l1", "sync", ...), stable for report
-    /// rows and CLI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ChannelFamily::L1 => "l1",
-            ChannelFamily::Sync => "sync",
-            ChannelFamily::ParallelSfu => "parallel-sfu",
-            ChannelFamily::Atomic => "atomic",
-            ChannelFamily::Nvlink => "nvlink",
-        }
-    }
-}
-
-impl fmt::Display for ChannelFamily {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Three-state outcome of a mitigation evaluation.
 ///
@@ -171,7 +58,7 @@ pub struct MitigationReport {
     /// The evaluated (possibly composed) defense.
     pub defense: DefenseSpec,
     /// The channel family it was evaluated against.
-    pub family: ChannelFamily,
+    pub family: Family,
     /// Channel outcome on the unprotected device.
     pub baseline: ChannelOutcome,
     /// Channel outcome with the defense active.
@@ -214,7 +101,7 @@ impl MitigationReport {
 /// once with the defense lowered onto [`DeviceTuning`], on the same device
 /// spec and message.
 ///
-/// `topology` is required by [`ChannelFamily::Nvlink`] only; the other
+/// `topology` is required by [`Family::Nvlink`] only; the other
 /// families ignore it.
 ///
 /// # Errors
@@ -223,29 +110,18 @@ impl MitigationReport {
 /// `None`; otherwise propagates channel failures.
 pub fn evaluate_against_family(
     spec: &DeviceSpec,
-    family: ChannelFamily,
+    family: Family,
     defense: &DefenseSpec,
     msg: &Message,
     topology: Option<&TopologySpec>,
 ) -> Result<MitigationReport, CovertError> {
     let run = |tuning: DeviceTuning| -> Result<ChannelOutcome, CovertError> {
-        match family {
-            ChannelFamily::L1 => L1Channel::new(spec.clone()).with_tuning(tuning).transmit(msg),
-            ChannelFamily::Sync => SyncChannel::new(spec.clone()).with_tuning(tuning).transmit(msg),
-            ChannelFamily::ParallelSfu => {
-                ParallelSfuChannel::new(spec.clone()).with_tuning(tuning).transmit(msg)
-            }
-            ChannelFamily::Atomic => AtomicChannel::new(spec.clone(), AtomicScenario::OneAddress)
-                .with_tuning(tuning)
-                .transmit(msg),
-            ChannelFamily::Nvlink => {
-                let topology = topology.ok_or_else(|| CovertError::Config {
-                    reason: "the nvlink family needs a multi-GPU topology (pass --topology)"
-                        .to_string(),
-                })?;
-                NvlinkChannel::new(topology.clone())?.with_tuning(tuning).transmit(msg)
-            }
-        }
+        let cfg = ChannelConfig {
+            topology: topology.cloned(),
+            tuning,
+            ..ChannelConfig::new(spec.clone())
+        };
+        build_channel(family, &cfg)?.transmit(msg)
     };
     let baseline = run(DeviceTuning::none())?;
     let mitigated = run(DeviceTuning::from_defense(defense))?;
@@ -257,7 +133,7 @@ mod tests {
     use super::*;
     use gpgpu_spec::presets;
 
-    fn eval(family: ChannelFamily, defense: &str, msg: &Message) -> MitigationReport {
+    fn eval(family: Family, defense: &str, msg: &Message) -> MitigationReport {
         let spec = presets::tesla_k40c();
         let defense = DefenseSpec::from_spec(defense).unwrap();
         evaluate_against_family(&spec, family, &defense, msg, None).unwrap()
@@ -266,7 +142,7 @@ mod tests {
     #[test]
     fn cache_partitioning_kills_the_l1_channel() {
         let msg = Message::pseudo_random(16, 0x91);
-        let r = eval(ChannelFamily::L1, "partition=2", &msg);
+        let r = eval(Family::L1, "partition=2", &msg);
         assert!(r.is_effective(0.2), "baseline {} mitigated {}", r.baseline.ber, r.mitigated.ber);
         assert_eq!(r.verdict(0.2), MitigationVerdict::Effective);
         assert_eq!(r.residual_bandwidth_kbps(0.2), 0.0);
@@ -276,7 +152,7 @@ mod tests {
     fn clock_fuzzing_kills_the_l1_channel() {
         let msg = Message::pseudo_random(16, 0x92);
         // Quantum far above the 49-vs-112-cycle gap.
-        let r = eval(ChannelFamily::L1, "fuzz=4096", &msg);
+        let r = eval(Family::L1, "fuzz=4096", &msg);
         assert!(r.is_effective(0.2), "baseline {} mitigated {}", r.baseline.ber, r.mitigated.ber);
     }
 
@@ -285,7 +161,7 @@ mod tests {
         // A quantum below the latency gap leaves the channel intact — the
         // defense must be sized to the signal it hides.
         let msg = Message::pseudo_random(12, 0x93);
-        let r = eval(ChannelFamily::L1, "fuzz=8", &msg);
+        let r = eval(Family::L1, "fuzz=8", &msg);
         assert!(r.mitigated.is_error_free(), "ber {}", r.mitigated.ber);
         assert_eq!(r.verdict(0.2), MitigationVerdict::Ineffective);
         assert!(r.residual_bandwidth_kbps(0.2) > 0.0);
@@ -294,7 +170,7 @@ mod tests {
     #[test]
     fn scheduler_randomization_scrambles_the_parallel_sfu_lanes() {
         let msg = Message::pseudo_random(16, 0x94);
-        let r = eval(ChannelFamily::ParallelSfu, "randsched=0xd1ce", &msg);
+        let r = eval(Family::ParallelSfu, "randsched=0xd1ce", &msg);
         assert!(r.baseline.is_error_free());
         assert!(r.mitigated.ber > 0.1, "randomization should corrupt lanes: {}", r.mitigated.ber);
     }
@@ -302,7 +178,7 @@ mod tests {
     #[test]
     fn partitioning_defeats_even_the_synchronized_protocol() {
         let msg = Message::pseudo_random(8, 0x95);
-        let r = eval(ChannelFamily::Sync, "partition=2", &msg);
+        let r = eval(Family::Sync, "partition=2", &msg);
         assert!(r.baseline.is_error_free());
         assert!(r.mitigated.ber > 0.2, "ber {}", r.mitigated.ber);
     }
@@ -314,8 +190,8 @@ mod tests {
         // the property the old last-tuning-wins stacking silently lost.
         let msg = Message::pseudo_random(16, 0x91);
         let both = "partition=2,randsched=0xd1ce";
-        assert!(eval(ChannelFamily::L1, both, &msg).is_effective(0.2));
-        let sfu = eval(ChannelFamily::ParallelSfu, both, &msg);
+        assert!(eval(Family::L1, both, &msg).is_effective(0.2));
+        let sfu = eval(Family::ParallelSfu, both, &msg);
         assert!(sfu.baseline.is_error_free());
         assert!(sfu.mitigated.ber > 0.1, "ber {}", sfu.mitigated.ber);
     }
@@ -326,7 +202,7 @@ mod tests {
         // deltas, so even coarse clock fuzzing leaves it standing — exactly
         // why the matrix needs all five families.
         let msg = Message::pseudo_random(8, 0x98);
-        let r = eval(ChannelFamily::Atomic, "fuzz=4096", &msg);
+        let r = eval(Family::Atomic, "fuzz=4096", &msg);
         assert!(r.baseline.is_error_free(), "ber {}", r.baseline.ber);
     }
 
@@ -334,9 +210,8 @@ mod tests {
     fn nvlink_family_without_topology_is_a_typed_config_error() {
         let spec = presets::tesla_k40c();
         let msg = Message::pseudo_random(8, 0x99);
-        let err =
-            evaluate_against_family(&spec, ChannelFamily::Nvlink, &DefenseSpec::none(), &msg, None)
-                .unwrap_err();
+        let err = evaluate_against_family(&spec, Family::Nvlink, &DefenseSpec::none(), &msg, None)
+            .unwrap_err();
         assert!(matches!(err, CovertError::Config { .. }), "{err:?}");
         assert!(err.to_string().contains("topology"), "{err}");
     }
@@ -348,7 +223,7 @@ mod tests {
         let topology = TopologySpec::dual("kepler").unwrap();
         let r = evaluate_against_family(
             &spec,
-            ChannelFamily::Nvlink,
+            Family::Nvlink,
             &DefenseSpec::from_spec("fuzz=4096").unwrap(),
             &msg,
             Some(&topology),
@@ -369,7 +244,7 @@ mod tests {
         };
         let report = |baseline: f64, mitigated: f64| MitigationReport {
             defense: DefenseSpec::none(),
-            family: ChannelFamily::L1,
+            family: Family::L1,
             baseline: outcome(baseline),
             mitigated: outcome(mitigated),
         };
@@ -382,17 +257,8 @@ mod tests {
 
     #[test]
     fn display_labels() {
-        assert!(Mitigation::CachePartitioning { partitions: 2 }.to_string().contains("2 regions"));
-        assert!(Mitigation::ClockFuzzing { granularity: 512 }.to_string().contains("512"));
-        assert_eq!(ChannelFamily::ParallelSfu.to_string(), "parallel-sfu");
+        assert_eq!(Family::ParallelSfu.to_string(), "parallel-sfu");
         assert_eq!(MitigationVerdict::BaselineBroken.to_string(), "baseline-broken");
-    }
-
-    #[test]
-    fn mitigation_to_defense_round_trips_through_tuning() {
-        let m = Mitigation::RandomizedWarpScheduling { seed: 0xD1CE };
-        assert_eq!(m.tuning().random_warp_scheduler, Some(0xD1CE));
-        assert_eq!(m.to_defense().to_spec(), "randsched=0xd1ce");
     }
 }
 

@@ -42,17 +42,14 @@ thread_local! {
     static DISABLED: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
-/// Resolves the raw `GPGPU_POOL_DISABLE` lookup into a disable flag plus,
-/// when the value is not one of the recognized spellings (unset, empty,
-/// `0`, `1`), the offending value for a one-time warning. Unrecognized
-/// non-empty values keep their legacy meaning — pooling disabled — so a
+/// The recognized `GPGPU_POOL_DISABLE` spellings (empty, `0`, `1`).
+/// Unrecognized values keep their legacy meaning — pooling disabled — so a
 /// typo degrades performance, never determinism.
-fn resolve_pool_disable(raw: Option<std::ffi::OsString>) -> (bool, Option<String>) {
-    match raw {
-        None => (false, None),
-        Some(v) if v.is_empty() || v == "0" => (false, None),
-        Some(v) if v == "1" => (true, None),
-        Some(v) => (true, Some(v.to_string_lossy().into_owned())),
+fn parse_pool_disable(v: &str) -> Option<bool> {
+    match v {
+        "" | "0" => Some(false),
+        "1" => Some(true),
+        _ => None,
     }
 }
 
@@ -60,16 +57,13 @@ fn pooling_disabled() -> bool {
     DISABLED.with(|d| match d.get() {
         Some(v) => v,
         None => {
-            let (v, rejected) = resolve_pool_disable(std::env::var_os("GPGPU_POOL_DISABLE"));
-            if let Some(rejected) = rejected {
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "warning: unrecognized GPGPU_POOL_DISABLE value `{rejected}` (expected \
-                         0 or 1); treating it as 1 and disabling the device pool"
-                    );
-                });
-            }
+            let v = crate::env::env_knob(
+                "GPGPU_POOL_DISABLE",
+                "0 or 1; treating it as 1 and disabling the device pool",
+                false,
+                true,
+                parse_pool_disable,
+            );
             d.set(Some(v));
             v
         }
@@ -241,16 +235,15 @@ mod tests {
 
     #[test]
     fn pool_disable_env_resolution_is_typed() {
-        use std::ffi::OsString;
-        assert_eq!(resolve_pool_disable(None), (false, None));
-        assert_eq!(resolve_pool_disable(Some(OsString::from(""))), (false, None));
-        assert_eq!(resolve_pool_disable(Some(OsString::from("0"))), (false, None));
-        assert_eq!(resolve_pool_disable(Some(OsString::from("1"))), (true, None));
+        use std::env::VarError;
+        let resolve_pool_disable =
+            |raw| crate::env::resolve_knob(raw, false, true, parse_pool_disable);
+        assert_eq!(resolve_pool_disable(Err(VarError::NotPresent)), (false, None));
+        assert_eq!(resolve_pool_disable(Ok(String::new())), (false, None));
+        assert_eq!(resolve_pool_disable(Ok("0".into())), (false, None));
+        assert_eq!(resolve_pool_disable(Ok("1".into())), (true, None));
         // Legacy semantics preserved (any other non-empty value disables),
         // but now flagged for the one-time warning.
-        assert_eq!(
-            resolve_pool_disable(Some(OsString::from("yes"))),
-            (true, Some("yes".to_string()))
-        );
+        assert_eq!(resolve_pool_disable(Ok("yes".into())), (true, Some("`yes`".to_string())));
     }
 }

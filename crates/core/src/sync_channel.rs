@@ -82,6 +82,10 @@ pub struct SyncChannel {
     /// Deterministic fault plan installed on the device for the run
     /// (`None` leaves the fault hooks disabled — the common case).
     pub fault_plan: Option<gpgpu_sim::FaultPlan>,
+    /// Noise co-runner kernels [`SyncChannel::transmit`] and
+    /// [`SyncChannel::calibrate`] launch beside the channel's kernel pair;
+    /// empty means a quiet device.
+    pub noise: Vec<KernelSpec>,
     /// Fitted decode rule from a pilot handshake; `None` uses the static
     /// rule (any redundancy window probe with >= 2 misses).
     pub calibration: Option<Calibration>,
@@ -104,6 +108,7 @@ impl SyncChannel {
             exclusive: false,
             tuning: gpgpu_sim::DeviceTuning::none(),
             fault_plan: None,
+            noise: Vec::new(),
             calibration: None,
             cycle_budget: None,
         }
@@ -400,7 +405,8 @@ impl SyncChannel {
         }
     }
 
-    /// Transmits `msg`, returning the outcome.
+    /// Transmits `msg` beside the channel's [`SyncChannel::noise`]
+    /// co-runners, returning the outcome.
     ///
     /// # Errors
     ///
@@ -409,7 +415,7 @@ impl SyncChannel {
     /// * [`CovertError::ProtocolDesync`] if the spy recovered fewer samples
     ///   than the schedule requires.
     pub fn transmit(&self, msg: &Message) -> Result<ChannelOutcome, CovertError> {
-        Ok(self.transmit_with_noise(msg, Vec::new())?.outcome)
+        Ok(self.transmit_with_noise(msg, self.noise.clone())?.outcome)
     }
 
     /// Transmits `msg` while `noise` kernels are launched on a third stream
@@ -465,13 +471,14 @@ impl SyncChannel {
         Calibration::fit(&pilot, &per_bit)
     }
 
-    /// [`SyncChannel::calibrate_with_noise`] on a quiet device.
+    /// [`SyncChannel::calibrate_with_noise`] beside the channel's own
+    /// [`SyncChannel::noise`] co-runners.
     ///
     /// # Errors
     ///
     /// As [`SyncChannel::calibrate_with_noise`].
     pub fn calibrate(&self, pilot_bits: usize) -> Result<Calibration, CovertError> {
-        self.calibrate_with_noise(pilot_bits, Vec::new())
+        self.calibrate_with_noise(pilot_bits, self.noise.clone())
     }
 
     /// Runs the Figure-11 protocol end to end; `decode` maps each in-range

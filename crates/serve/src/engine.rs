@@ -27,19 +27,12 @@
 use crate::cache::{fnv1a64, CacheError, CellResult, ResultCache};
 use crate::chaos::{ChaosEvent, ChaosPlan};
 use crate::journal::{Journal, JournalError};
-use gpgpu_covert::atomic_channel::{AtomicChannel, AtomicScenario};
 use gpgpu_covert::bits::Message;
-use gpgpu_covert::cache_channel::L1Channel;
+use gpgpu_covert::channel::{build_channel, ChannelConfig};
 use gpgpu_covert::harness::{TrialError, TrialRunner};
-use gpgpu_covert::mitigations::ChannelFamily;
-use gpgpu_covert::nvlink_channel::NvlinkChannel;
-use gpgpu_covert::parallel::ParallelSfuChannel;
-use gpgpu_covert::sync_channel::SyncChannel;
 use gpgpu_covert::CovertError;
 use gpgpu_sim::{DeviceTuning, FaultPlan};
-use gpgpu_spec::{
-    presets, DefenseSpec, DeviceSpec, SpecError, SweepCell, SweepRequest, TopologySpec,
-};
+use gpgpu_spec::{presets, DefenseSpec, SpecError, SweepCell, SweepRequest, TopologySpec};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,11 +94,9 @@ struct JobCell {
     /// FNV-1a of `key` — the identity every seeded chaos/backoff decision
     /// derives from.
     hash: u64,
-    device: DeviceSpec,
-    family: ChannelFamily,
-    fault: Option<FaultPlan>,
-    defense: DefenseSpec,
-    topology: Option<TopologySpec>,
+    /// The cell's channel settings: device, symbol time, defense tuning,
+    /// fault plan and topology.
+    config: ChannelConfig,
 }
 
 /// How one cell's result was obtained (or why it was not).
@@ -257,7 +248,7 @@ impl SweepMatrix {
             };
             rows.push([
                 o.cell.device.clone(),
-                o.cell.family.clone(),
+                o.cell.family.to_string(),
                 o.cell.iterations.to_string(),
                 o.cell.faults.clone(),
                 o.cell.defense.clone(),
@@ -386,7 +377,6 @@ impl SweepService {
                 ..raw
             };
             let device = presets::by_name(&spec.device).expect("validated device alias");
-            let family = family_from_label(&spec.family).expect("validated family label");
             let defense = if spec.defense == "none" {
                 DefenseSpec::none()
             } else {
@@ -400,9 +390,16 @@ impl SweepService {
                         .expect("validated canonical topology sub-spec"),
                 )
             };
+            let config = ChannelConfig {
+                topology,
+                tuning: DeviceTuning::from_defense(&defense),
+                iterations: Some(spec.iterations),
+                faults: fault,
+                ..ChannelConfig::new(device)
+            };
             let key = spec.key();
             let hash = fnv1a64(key.as_bytes());
-            cells.push(JobCell { spec, key, hash, device, family, fault, defense, topology });
+            cells.push(JobCell { spec, key, hash, config });
         }
         Ok(SweepService {
             request,
@@ -645,72 +642,15 @@ impl SweepService {
     }
 }
 
-/// Maps a family label to the channel family enum.
-fn family_from_label(label: &str) -> Option<ChannelFamily> {
-    ChannelFamily::ALL.into_iter().find(|f| f.label() == label)
-}
-
-/// Computes one cell: builds the family's channel with the cell's symbol
-/// time, defense tuning, fault plan and topology, and transmits the
-/// request's pseudo-random message. Pure: identical cells give bit-identical
-/// results regardless of worker, attempt or cache history.
+/// Computes one cell: builds the family's channel under the cell's
+/// settings and transmits the request's pseudo-random message. Pure:
+/// identical cells give bit-identical results regardless of worker, attempt
+/// or cache history. (The sync and parallel-sfu families' symbol time is
+/// their round structure; the iters axis is accepted but does not re-pace
+/// them.)
 fn compute_cell(cell: &JobCell) -> Result<CellResult, CovertError> {
     let msg = Message::pseudo_random(cell.spec.bits as usize, cell.spec.seed);
-    let tuning = DeviceTuning::from_defense(&cell.defense);
-    let unsupported_faults = || CovertError::Config {
-        reason: format!(
-            "the {} family does not support fault injection (drop the fault axis for it)",
-            cell.spec.family
-        ),
-    };
-    let outcome = match cell.family {
-        ChannelFamily::L1 => {
-            let mut ch = L1Channel::new(cell.device.clone())
-                .with_iterations(cell.spec.iterations)
-                .with_tuning(tuning);
-            if let Some(plan) = &cell.fault {
-                ch = ch.with_faults(*plan);
-            }
-            ch.transmit(&msg)?
-        }
-        ChannelFamily::Sync => {
-            // The sync channel's symbol time is its round structure; the
-            // iters axis is accepted but does not re-pace it.
-            let mut ch = SyncChannel::new(cell.device.clone()).with_tuning(tuning);
-            if let Some(plan) = &cell.fault {
-                ch = ch.with_faults(*plan);
-            }
-            ch.transmit(&msg)?
-        }
-        ChannelFamily::ParallelSfu => {
-            if cell.fault.is_some() {
-                return Err(unsupported_faults());
-            }
-            ParallelSfuChannel::new(cell.device.clone()).with_tuning(tuning).transmit(&msg)?
-        }
-        ChannelFamily::Atomic => {
-            let mut ch = AtomicChannel::new(cell.device.clone(), AtomicScenario::OneAddress)
-                .with_iterations(cell.spec.iterations)
-                .with_tuning(tuning);
-            if let Some(plan) = &cell.fault {
-                ch = ch.with_faults(*plan);
-            }
-            ch.transmit(&msg)?
-        }
-        ChannelFamily::Nvlink => {
-            let topology = cell.topology.clone().ok_or_else(|| CovertError::Config {
-                reason: "the nvlink family needs a multi-GPU topology (set the topology field)"
-                    .to_string(),
-            })?;
-            let mut ch = NvlinkChannel::new(topology)?
-                .with_iterations(cell.spec.iterations)
-                .with_tuning(tuning);
-            if let Some(plan) = &cell.fault {
-                ch = ch.with_faults(*plan);
-            }
-            ch.transmit(&msg)?
-        }
-    };
+    let outcome = build_channel(cell.spec.family, &cell.config)?.transmit(&msg)?;
     Ok(CellResult::from_outcome(&outcome))
 }
 

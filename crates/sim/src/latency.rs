@@ -22,6 +22,7 @@
 //! shortest-round-trip representation — so a table dumped by the CLI's
 //! `characterize` subcommand reloads bit-identically.
 
+use gpgpu_spec::Family;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -83,8 +84,8 @@ impl OpClass {
 /// consumer can tell interpolation from extrapolation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilyModel {
-    /// Channel family label (`l1`, `sfu`, `atomic`, `sync`, `nvlink`).
-    pub family: String,
+    /// The channel family this model predicts.
+    pub family: Family,
     /// Name of the symbol-time knob the slope applies to.
     pub knob: String,
     /// Per-message fixed cycles (handshake, calibration, final drain).
@@ -161,7 +162,8 @@ pub struct LatencyTable {
     /// Device preset label the table was extracted from.
     pub device: String,
     ops: BTreeMap<OpClass, f64>,
-    families: BTreeMap<String, FamilyModel>,
+    /// Keyed by [`Family::label`], so rows serialize in label order.
+    families: BTreeMap<&'static str, FamilyModel>,
 }
 
 impl LatencyTable {
@@ -180,14 +182,14 @@ impl LatencyTable {
         self.ops.get(&class).copied()
     }
 
-    /// Records (or overwrites) a family model, keyed by its family label.
+    /// Records (or overwrites) a family model, keyed by its family.
     pub fn set_family(&mut self, model: FamilyModel) {
-        self.families.insert(model.family.clone(), model);
+        self.families.insert(model.family.label(), model);
     }
 
     /// The recorded model for `family`, if characterized.
-    pub fn family(&self, family: &str) -> Option<&FamilyModel> {
-        self.families.get(family)
+    pub fn family(&self, family: Family) -> Option<&FamilyModel> {
+        self.families.get(family.label())
     }
 
     /// All recorded `(class, cycles)` rows, in table order.
@@ -229,7 +231,7 @@ impl LatencyTable {
     /// # Errors
     ///
     /// [`LatencyTableError`] naming the offending line: bad header, unknown
-    /// op class, malformed number, or an unrecognized row kind.
+    /// op class or family, malformed number, or an unrecognized row kind.
     pub fn from_spec(text: &str) -> Result<Self, LatencyTableError> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines
@@ -263,10 +265,11 @@ impl LatencyTable {
                     table.set_op(class, cycles);
                 }
                 Some("family") => {
-                    let family =
+                    let label =
                         parts.next().ok_or_else(|| err("family row missing label".into()))?;
+                    let family = label.parse::<Family>().map_err(|e| err(e.to_string()))?;
                     let mut model = FamilyModel {
-                        family: family.to_string(),
+                        family,
                         knob: String::new(),
                         fixed: 0.0,
                         base: 0.0,
@@ -317,7 +320,7 @@ mod tests {
         t.set_op(OpClass::L1Hit, 49.0);
         t.set_op(OpClass::SfuContended, 30.25);
         t.set_family(FamilyModel {
-            family: "l1".into(),
+            family: Family::L1,
             knob: "iterations".into(),
             fixed: 0.0,
             base: 8437.5,
@@ -352,7 +355,7 @@ mod tests {
 
     #[test]
     fn family_model_is_affine() {
-        let m = sample_table().family("l1").unwrap().clone();
+        let m = sample_table().family(Family::L1).unwrap().clone();
         let cpb = m.cycles_per_bit(4.0);
         assert!((cpb - (8437.5 + 4.0 * 1568.0625)).abs() < 1e-9);
         assert!((m.cycles(8, 4.0) - 8.0 * cpb).abs() < 1e-9);
@@ -360,7 +363,7 @@ mod tests {
 
     #[test]
     fn one_bit_failure_saturates_then_falls_quadratically() {
-        let m = sample_table().family("l1").unwrap().clone();
+        let m = sample_table().family(Family::L1).unwrap().clone();
         assert_eq!(m.one_bit_failure(1.0), 0.625, "below the knee: saturated");
         assert_eq!(m.one_bit_failure(3.5), 0.625, "at the knee: saturated");
         let p7 = m.one_bit_failure(7.0);
@@ -383,6 +386,10 @@ mod tests {
         assert_eq!((e.line, e.reason.contains("unknown op class")), (2, true));
         let text = format!("{HEADER} device=kepler\nfamily l1 base=x\n");
         assert!(LatencyTable::from_spec(&text).unwrap_err().reason.contains("bad family value"));
+        let text = format!("{HEADER} device=kepler\nop l1_hit 49\nfamily l3 knob=iterations\n");
+        let e = LatencyTable::from_spec(&text).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.reason.contains("unknown channel family `l3`"), "{e}");
         let text = format!("{HEADER} device=kepler\nrow l1\n");
         assert!(LatencyTable::from_spec(&text).unwrap_err().reason.contains("unknown row kind"));
         assert_eq!(LatencyTable::from_spec("").unwrap_err().line, 0);
@@ -392,7 +399,7 @@ mod tests {
     fn missing_rows_read_as_none() {
         let t = LatencyTable::new("kepler");
         assert_eq!(t.op(OpClass::L1Hit), None);
-        assert!(t.family("l1").is_none());
+        assert!(t.family(Family::L1).is_none());
         assert_eq!(t.ops().count(), 0);
     }
 }

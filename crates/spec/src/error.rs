@@ -62,6 +62,11 @@ pub enum SpecError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// A channel-family label is not one of [`crate::Family::ALL`].
+    UnknownFamily {
+        /// The rejected label.
+        label: String,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -90,6 +95,10 @@ impl fmt::Display for SpecError {
             }
             SpecError::InvalidSubCore { reason } => {
                 write!(f, "invalid sub-core spec: {reason}")
+            }
+            SpecError::UnknownFamily { label } => {
+                let labels: Vec<&str> = crate::Family::ALL.iter().map(|f| f.label()).collect();
+                write!(f, "unknown channel family `{label}` (choose from {})", labels.join(", "))
             }
         }
     }

@@ -39,6 +39,7 @@ pub mod cache;
 pub mod defense;
 pub mod device;
 pub mod error;
+pub mod family;
 pub mod fu;
 pub mod launch;
 pub mod mem;
@@ -53,6 +54,7 @@ pub use cache::{CacheGeometry, CacheSpec};
 pub use defense::{DefenseComponent, DefenseSpec};
 pub use device::DeviceSpec;
 pub use error::SpecError;
+pub use family::Family;
 pub use fu::{FuPools, FuTiming};
 pub use launch::{BlockResources, LaunchConfig};
 pub use mem::MemorySpec;

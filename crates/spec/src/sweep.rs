@@ -21,6 +21,8 @@
 //! `|`. Every field is optional and defaults to the smallest sensible
 //! sweep; `none` denotes the empty fault plan / defense / topology.
 //!
+//! The family axis takes the five [`Family::MATRIX`] rows, nothing else.
+//!
 //! Fault sub-specs are carried *opaquely* at this layer (their parser lives
 //! above, in `gpgpu-sim`); defense and topology sub-specs are validated and
 //! canonicalized here. The service layer canonicalizes fault strings when
@@ -38,14 +40,10 @@
 
 use crate::defense::DefenseSpec;
 use crate::error::SpecError;
+use crate::family::Family;
 use crate::presets;
 use crate::topology::TopologySpec;
 use std::fmt;
-
-/// The channel-family labels a sweep may name, in canonical order. These
-/// mirror `ChannelFamily::ALL` in `gpgpu-covert`; the spec layer owns the
-/// vocabulary so requests validate without a simulator dependency.
-pub const FAMILY_LABELS: [&str; 5] = ["l1", "sync", "parallel-sfu", "atomic", "nvlink"];
 
 /// A validated sweep grid: the cross product of devices × families × fault
 /// plans × defenses × symbol times, over one pseudo-random message shape.
@@ -54,9 +52,9 @@ pub struct SweepRequest {
     /// Device aliases (canonicalized through [`presets::by_name`]), the
     /// architecture axis. At least one; duplicates rejected.
     pub devices: Vec<String>,
-    /// Channel-family labels from [`FAMILY_LABELS`]. At least one;
+    /// Channel families, each one of [`Family::MATRIX`]. At least one;
     /// duplicates rejected.
-    pub families: Vec<String>,
+    pub families: Vec<Family>,
     /// Per-bit iteration counts — the Figure-5 symbol-time axis. At least
     /// one; all positive; duplicates rejected.
     pub iterations: Vec<u64>,
@@ -85,8 +83,8 @@ pub struct SweepRequest {
 pub struct SweepCell {
     /// Canonical device alias.
     pub device: String,
-    /// Channel-family label.
-    pub family: String,
+    /// Channel family.
+    pub family: Family,
     /// Per-bit iteration count (symbol-time knob).
     pub iterations: u64,
     /// Message length in bits.
@@ -138,7 +136,7 @@ impl Default for SweepRequest {
     fn default() -> Self {
         SweepRequest {
             devices: vec!["kepler".to_string()],
-            families: vec!["l1".to_string()],
+            families: vec![Family::L1],
             iterations: vec![DEFAULT_ITERATIONS],
             bits: DEFAULT_BITS,
             seed: DEFAULT_SEED,
@@ -183,13 +181,8 @@ impl SweepRequest {
                 return invalid(format!("unknown device alias `{d}`"));
             }
         }
-        for f in &self.families {
-            if !FAMILY_LABELS.contains(&f.as_str()) {
-                return invalid(format!(
-                    "unknown family `{f}` (choose from {})",
-                    FAMILY_LABELS.join(", ")
-                ));
-            }
+        if let Some(f) = self.families.iter().find(|f| !Family::MATRIX.contains(f)) {
+            return Err(unknown_family(f.label()));
         }
         for &it in &self.iterations {
             if it == 0 {
@@ -212,21 +205,15 @@ impl SweepRequest {
             TopologySpec::from_spec(&self.topology)
                 .map_err(|e| SpecError::InvalidSweep { reason: format!("topology: {e}") })?;
         }
-        for (name, values) in [
-            ("device", &self.devices),
-            ("family", &self.families),
-            ("faults", &self.faults),
-            ("defense", &self.defenses),
+        for (name, dup) in [
+            ("device", duplicate(&self.devices).cloned()),
+            ("family", duplicate(&self.families).map(Family::to_string)),
+            ("faults", duplicate(&self.faults).cloned()),
+            ("defense", duplicate(&self.defenses).cloned()),
+            ("iters", duplicate(&self.iterations).map(u64::to_string)),
         ] {
-            for (i, v) in values.iter().enumerate() {
-                if values[..i].contains(v) {
-                    return invalid(format!("duplicate {name} axis value `{v}`"));
-                }
-            }
-        }
-        for (i, v) in self.iterations.iter().enumerate() {
-            if self.iterations[..i].contains(v) {
-                return invalid(format!("duplicate iters axis value `{v}`"));
+            if let Some(v) = dup {
+                return invalid(format!("duplicate {name} axis value `{v}`"));
             }
         }
         Ok(())
@@ -268,7 +255,10 @@ impl SweepRequest {
                         .collect::<Result<_, _>>()?;
                 }
                 "family" => {
-                    out.families = value.split('+').map(|f| f.trim().to_string()).collect();
+                    out.families = value
+                        .split('+')
+                        .map(|f| f.trim().parse().map_err(|_| unknown_family(f.trim())))
+                        .collect::<Result<_, _>>()?;
                 }
                 "iters" => {
                     out.iterations = value
@@ -330,7 +320,7 @@ impl SweepRequest {
         format!(
             "device={};family={};iters={};bits={};seed={:#x};faults={};defense={};topology={}",
             self.devices.join("+"),
-            self.families.join("+"),
+            self.families.iter().map(|f| f.label()).collect::<Vec<_>>().join("+"),
             self.iterations.iter().map(u64::to_string).collect::<Vec<_>>().join("+"),
             self.bits,
             self.seed,
@@ -360,7 +350,7 @@ impl SweepRequest {
                         for &iterations in &self.iterations {
                             out.push(SweepCell {
                                 device: device.clone(),
-                                family: family.clone(),
+                                family: *family,
                                 iterations,
                                 bits: self.bits,
                                 seed: self.seed,
@@ -381,6 +371,20 @@ impl fmt::Display for SweepRequest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_spec())
     }
+}
+
+/// The one rejection for a family outside the sweep vocabulary
+/// ([`Family::MATRIX`]), whether its label parses or not.
+fn unknown_family(label: &str) -> SpecError {
+    let labels: Vec<&str> = Family::MATRIX.iter().map(|f| f.label()).collect();
+    SpecError::InvalidSweep {
+        reason: format!("unknown family `{label}` (choose from {})", labels.join(", ")),
+    }
+}
+
+/// The first value that repeats an earlier one.
+fn duplicate<T: PartialEq>(values: &[T]) -> Option<&T> {
+    values.iter().enumerate().find(|(i, v)| values[..*i].contains(v)).map(|(_, v)| v)
 }
 
 /// Canonicalizes a device alias: any alias [`presets::by_name`] accepts maps
@@ -476,6 +480,26 @@ mod tests {
                 "`{bad}` must fail with InvalidSweep, got {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn families_outside_the_sweep_vocabulary_are_rejected() {
+        // `sfu` is a family label, but not a sweep row: the vocabulary stays
+        // the five matrix families, with one wording for every rejection.
+        for (bad, label) in [("family=sfu", "sfu"), ("family=l1+l3", "l3")] {
+            let err = SweepRequest::from_spec(bad).unwrap_err();
+            assert_eq!(
+                err,
+                SpecError::InvalidSweep {
+                    reason: format!(
+                        "unknown family `{label}` (choose from l1, sync, parallel-sfu, atomic, \
+                         nvlink)"
+                    )
+                }
+            );
+        }
+        let typed = SweepRequest { families: vec![Family::Sfu], ..SweepRequest::default() };
+        assert!(typed.validate().unwrap_err().to_string().contains("unknown family `sfu`"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use gpgpu_covert::fu_channel::SfuChannel;
 use gpgpu_covert::nvlink_channel::NvlinkChannel;
 use gpgpu_covert::sync_channel::SyncChannel;
 use gpgpu_covert::ChannelOutcome;
-use gpgpu_spec::{presets, TopologySpec};
+use gpgpu_spec::{presets, Family, TopologySpec};
 
 fn main() {
     let spec = presets::tesla_k40c();
@@ -45,28 +45,28 @@ fn main() {
 
     let fig5 = Message::pseudo_random(48, 0xF165);
     let short = |seed: u64| Message::pseudo_random(24, seed);
-    let cells: Vec<(&str, f64, Message, ChannelOutcome)> = vec![
-        ("l1", 8.0, fig5.clone(), {
+    let cells: Vec<(Family, f64, Message, ChannelOutcome)> = vec![
+        (Family::L1, 8.0, fig5.clone(), {
             L1Channel::new(spec.clone()).with_iterations(8).transmit(&fig5).expect("l1")
         }),
-        ("l2", 2.0, fig5.clone(), {
+        (Family::L2, 2.0, fig5.clone(), {
             L2Channel::new(spec.clone()).with_iterations(2).transmit(&fig5).expect("l2")
         }),
-        ("sfu", 6.0, short(0x5F0), {
+        (Family::Sfu, 6.0, short(0x5F0), {
             SfuChannel::new(spec.clone()).with_iterations(6).transmit(&short(0x5F0)).expect("sfu")
         }),
-        ("atomic", 6.0, short(0xA70), {
+        (Family::Atomic, 6.0, short(0xA70), {
             AtomicChannel::new(spec.clone(), AtomicScenario::OneAddress)
                 .with_iterations(6)
                 .transmit(&short(0xA70))
                 .expect("atomic")
         }),
-        ("sync", 0.0, Message::pseudo_random(16, 0x57AC), {
+        (Family::Sync, 0.0, Message::pseudo_random(16, 0x57AC), {
             SyncChannel::new(spec.clone())
                 .transmit(&Message::pseudo_random(16, 0x57AC))
                 .expect("sync")
         }),
-        ("nvlink", 4096.0, Message::pseudo_random(16, 0x12), {
+        (Family::Nvlink, 4096.0, Message::pseudo_random(16, 0x12), {
             NvlinkChannel::new(topology.clone())
                 .expect("channel builds")
                 .with_window(4096)

@@ -22,7 +22,7 @@ use gpgpu_covert::nvlink_channel::NvlinkChannel;
 use gpgpu_covert::sync_channel::SyncChannel;
 use gpgpu_covert::ChannelOutcome;
 use gpgpu_sim::{DeviceTuning, EngineMode, LatencyTable};
-use gpgpu_spec::{presets, TopologySpec};
+use gpgpu_spec::{presets, Family, TopologySpec};
 use std::sync::OnceLock;
 
 /// The characterized Kepler model, extracted once and shared by every test
@@ -60,9 +60,9 @@ fn tuning(mode: EngineMode) -> DeviceTuning {
 /// Recasts a simulated outcome in the analytical prediction's shape so the
 /// three-way helper can compare like with like. Dense-vs-EventDriven
 /// equality on this struct is still exact (`PartialEq` on the raw floats).
-fn observed(family: &str, knob: f64, o: &ChannelOutcome) -> AnalyticalPrediction {
+fn observed(family: Family, knob: f64, o: &ChannelOutcome) -> AnalyticalPrediction {
     AnalyticalPrediction {
-        family: family.to_string(),
+        family,
         knob,
         bits: o.sent.len(),
         cycles: o.cycles,
@@ -76,7 +76,7 @@ fn observed(family: &str, knob: f64, o: &ChannelOutcome) -> AnalyticalPrediction
 /// tolerance. Returns the simulated cell for further checks.
 fn three_way_cell_on<F>(
     model: &AnalyticalModel,
-    family: &str,
+    family: Family,
     knob: f64,
     msg: &Message,
     transmit: F,
@@ -95,7 +95,7 @@ where
 }
 
 /// [`three_way_cell_on`] against the Kepler model (the paper's device).
-fn three_way_cell<F>(family: &str, knob: f64, msg: &Message, transmit: F) -> AnalyticalPrediction
+fn three_way_cell<F>(family: Family, knob: f64, msg: &Message, transmit: F) -> AnalyticalPrediction
 where
     F: Fn(EngineMode) -> ChannelOutcome,
 {
@@ -113,7 +113,7 @@ fn l1_three_way_agreement_on_fig5_grid() {
     let msg = fig5_message();
     let mut confident_cells = 0;
     for &iterations in &[20u64, 12, 8, 4, 2, 1] {
-        let sim = three_way_cell("l1", iterations as f64, &msg, |mode| {
+        let sim = three_way_cell(Family::L1, iterations as f64, &msg, |mode| {
             L1Channel::new(presets::tesla_k40c())
                 .with_tuning(tuning(mode))
                 .with_iterations(iterations)
@@ -131,7 +131,7 @@ fn l1_three_way_agreement_on_fig5_grid() {
 fn l2_three_way_agreement_on_iteration_grid() {
     let msg = fig5_message();
     for &iterations in &[16u64, 4, 2, 1] {
-        three_way_cell("l2", iterations as f64, &msg, |mode| {
+        three_way_cell(Family::L2, iterations as f64, &msg, |mode| {
             L2Channel::new(presets::tesla_k40c())
                 .with_tuning(tuning(mode))
                 .with_iterations(iterations)
@@ -145,7 +145,7 @@ fn l2_three_way_agreement_on_iteration_grid() {
 fn sfu_three_way_agreement_on_iteration_grid() {
     let msg = Message::pseudo_random(24, 0x5F0);
     for &iterations in &[10u64, 6, 3] {
-        three_way_cell("sfu", iterations as f64, &msg, |mode| {
+        three_way_cell(Family::Sfu, iterations as f64, &msg, |mode| {
             SfuChannel::new(presets::tesla_k40c())
                 .with_tuning(tuning(mode))
                 .with_iterations(iterations)
@@ -159,7 +159,7 @@ fn sfu_three_way_agreement_on_iteration_grid() {
 fn atomic_three_way_agreement_on_iteration_grid() {
     let msg = Message::pseudo_random(24, 0xA70);
     for &iterations in &[12u64, 6, 3] {
-        three_way_cell("atomic", iterations as f64, &msg, |mode| {
+        three_way_cell(Family::Atomic, iterations as f64, &msg, |mode| {
             AtomicChannel::new(presets::tesla_k40c(), AtomicScenario::OneAddress)
                 .with_tuning(tuning(mode))
                 .with_iterations(iterations)
@@ -175,7 +175,7 @@ fn sync_three_way_agreement() {
     // that its fitted fixed+per-bit cost extrapolates from the 8/24-bit
     // probe messages to an unseen length.
     let msg = Message::pseudo_random(16, 0x57AC);
-    three_way_cell("sync", 0.0, &msg, |mode| {
+    three_way_cell(Family::Sync, 0.0, &msg, |mode| {
         SyncChannel::new(presets::tesla_k40c())
             .with_tuning(tuning(mode))
             .transmit(&msg)
@@ -187,7 +187,7 @@ fn sync_three_way_agreement() {
 fn nvlink_three_way_agreement_on_window_grid() {
     let msg = Message::pseudo_random(16, 0x12);
     for &window in &[2_048u64, 4_096, 8_192] {
-        three_way_cell("nvlink", window as f64, &msg, |mode| {
+        three_way_cell(Family::Nvlink, window as f64, &msg, |mode| {
             NvlinkChannel::new(TopologySpec::dual("kepler").expect("dual topology"))
                 .expect("channel builds")
                 .with_tuning(tuning(mode))
@@ -209,7 +209,7 @@ fn ampere_three_way_agreement_per_family() {
 
     let msg = fig5_message();
     for &iterations in &[20u64, 8, 2] {
-        three_way_cell_on(model, "l1", iterations as f64, &msg, |mode| {
+        three_way_cell_on(model, Family::L1, iterations as f64, &msg, |mode| {
             L1Channel::new(spec.clone())
                 .with_tuning(tuning(mode))
                 .with_iterations(iterations)
@@ -220,7 +220,7 @@ fn ampere_three_way_agreement_per_family() {
 
     let msg = Message::pseudo_random(24, 0x5F0);
     for &iterations in &[10u64, 3] {
-        three_way_cell_on(model, "sfu", iterations as f64, &msg, |mode| {
+        three_way_cell_on(model, Family::Sfu, iterations as f64, &msg, |mode| {
             SfuChannel::new(spec.clone())
                 .with_tuning(tuning(mode))
                 .with_iterations(iterations)
@@ -234,7 +234,7 @@ fn ampere_three_way_agreement_per_family() {
     // for ones-poor payloads overshoot the bandwidth band.
     let msg = Message::pseudo_random(24, 0xF165);
     for &iterations in &[12u64, 3] {
-        three_way_cell_on(model, "atomic", iterations as f64, &msg, |mode| {
+        three_way_cell_on(model, Family::Atomic, iterations as f64, &msg, |mode| {
             AtomicChannel::new(spec.clone(), AtomicScenario::OneAddress)
                 .with_tuning(tuning(mode))
                 .with_iterations(iterations)
@@ -244,7 +244,7 @@ fn ampere_three_way_agreement_per_family() {
     }
 
     let msg = Message::pseudo_random(16, 0x57AC);
-    three_way_cell_on(model, "sync", 0.0, &msg, |mode| {
+    three_way_cell_on(model, Family::Sync, 0.0, &msg, |mode| {
         SyncChannel::new(spec.clone())
             .with_tuning(tuning(mode))
             .transmit(&msg)
@@ -253,7 +253,7 @@ fn ampere_three_way_agreement_per_family() {
 
     let msg = Message::pseudo_random(16, 0x12);
     for &window in &[2_048u64, 8_192] {
-        three_way_cell_on(model, "nvlink", window as f64, &msg, |mode| {
+        three_way_cell_on(model, Family::Nvlink, window as f64, &msg, |mode| {
             NvlinkChannel::new(TopologySpec::dual("ampere").expect("dual topology"))
                 .expect("channel builds")
                 .with_tuning(tuning(mode))
@@ -274,7 +274,9 @@ fn ampere_characterized_table_round_trips_through_spec() {
         model.table(),
         "to_spec/from_spec must round-trip the ampere table exactly"
     );
-    for family in ["l1", "l2", "sfu", "atomic", "sync", "nvlink"] {
+    for family in
+        [Family::L1, Family::L2, Family::Sfu, Family::Atomic, Family::Sync, Family::Nvlink]
+    {
         assert!(parsed.family(family).is_some(), "family {family} missing from the ampere table");
     }
 }
@@ -290,7 +292,9 @@ fn characterized_table_round_trips_through_spec() {
         "to_spec/from_spec must round-trip the extracted table exactly"
     );
     // The table carries all six families once nvlink is characterized.
-    for family in ["l1", "l2", "sfu", "atomic", "sync", "nvlink"] {
+    for family in
+        [Family::L1, Family::L2, Family::Sfu, Family::Atomic, Family::Sync, Family::Nvlink]
+    {
         assert!(parsed.family(family).is_some(), "family {family} missing from the table");
     }
 }
@@ -305,7 +309,7 @@ fn pruned_fig5_sweep_reproduces_unpruned_curve() {
 
     let unpruned = channel.error_rate_sweep_on(&runner, &msg, &grid).expect("unpruned sweep runs");
     let (pruned, mask) = model
-        .pruned_error_rate_sweep(&runner, &channel, "l1", &msg, &grid)
+        .pruned_error_rate_sweep(&runner, &channel, Family::L1, &msg, &grid)
         .expect("pruned sweep runs");
 
     let simulated = mask.iter().filter(|&&keep| keep).count();
@@ -320,7 +324,7 @@ fn pruned_fig5_sweep_reproduces_unpruned_curve() {
         } else {
             // Filled cells come from the closed form: curve agreement is the
             // documented tolerance plus verdict agreement on confident cells.
-            let tol = tolerance("l1");
+            let tol = tolerance(Family::L1);
             assert!(
                 (up.1 - pp.1).abs() <= tol.ber_abs,
                 "filled cell {i}: BER {:.3} vs simulated {:.3} exceeds ±{:.3}",
@@ -349,12 +353,12 @@ fn pruned_fig5_sweep_reproduces_unpruned_curve() {
 #[test]
 fn targeted_characterization_matches_full_suite() {
     let full = kepler_model();
-    let only_l1 = AnalyticalModel::characterize_families(&presets::tesla_k40c(), &["l1"])
+    let only_l1 = AnalyticalModel::characterize_families(&presets::tesla_k40c(), &[Family::L1])
         .expect("targeted characterization runs");
     assert_eq!(
-        only_l1.table().family("l1"),
-        full.table().family("l1"),
+        only_l1.table().family(Family::L1),
+        full.table().family(Family::L1),
         "the targeted suite must extract the same l1 model as the full suite"
     );
-    assert!(only_l1.table().family("sfu").is_none());
+    assert!(only_l1.table().family(Family::Sfu).is_none());
 }

@@ -5,9 +5,8 @@
 //! escapes single-resource mitigations by hopping channel families.
 
 use gpgpu_covert::arena::{run_arena, ArenaConfig, Attacker};
-use gpgpu_covert::mitigations::ChannelFamily;
 use gpgpu_sim::{DeviceTuning, SimError};
-use gpgpu_spec::{presets, DefenseSpec};
+use gpgpu_spec::{presets, DefenseSpec, Family};
 
 /// An 8-bit tournament over the default defense set: big enough that every
 /// family transmits real payloads, small enough for the test profile.
@@ -52,7 +51,7 @@ fn full_tournament_is_deterministic_and_fully_populated() {
 fn adaptive_attacker_escapes_a_single_mitigation_via_family_fallback() {
     let report = run_arena(&small_config()).unwrap();
     // Cache partitioning kills the static cache rows outright...
-    let l1 = report.cell(Attacker::Static(ChannelFamily::L1), "partition=2").unwrap();
+    let l1 = report.cell(Attacker::Static(Family::L1), "partition=2").unwrap();
     assert_eq!(l1.residual_bandwidth_kbps, 0.0, "{l1:?}");
     // ...but the ladder walks off the defended resource and still delivers.
     let escapes = report.fallback_escapes();
@@ -79,14 +78,14 @@ fn missing_topology_degrades_to_typed_cells_not_an_abort() {
         .with_defenses(vec![DefenseSpec::from_spec("partition=2").unwrap()]);
     let report = run_arena(&config).unwrap();
     for defense in ["none", "partition=2"] {
-        let cell = report.cell(Attacker::Static(ChannelFamily::Nvlink), defense).unwrap();
+        let cell = report.cell(Attacker::Static(Family::Nvlink), defense).unwrap();
         let err = cell.error.as_deref().expect("nvlink without a topology is not evaluable");
         assert!(err.contains("topology"), "{err}");
         assert_eq!(cell.residual_bandwidth_kbps, 0.0);
         assert!(!cell.delivered);
     }
     // The on-chip rows are untouched by the missing fabric.
-    let l1 = report.cell(Attacker::Static(ChannelFamily::L1), "none").unwrap();
+    let l1 = report.cell(Attacker::Static(Family::L1), "none").unwrap();
     assert!(l1.error.is_none() && l1.delivered);
     // And the matrix is rendered with the not-evaluable marker.
     assert!(report.render().contains('x'));

@@ -13,7 +13,7 @@
 
 use gpgpu_covert::harness::{TrialError, TrialRunner};
 use gpgpu_serve::{CellStatus, ChaosPlan, ResultCache, ServeError, SweepService};
-use gpgpu_spec::{SweepRequest, TopologySpec};
+use gpgpu_spec::{Family, SweepRequest, TopologySpec};
 use std::path::PathBuf;
 
 /// Fresh scratch directory per test.
@@ -174,8 +174,8 @@ fn impossible_cells_fail_fast_with_typed_errors_and_spare_their_neighbors() {
     assert_eq!(matrix.stats.failed, 3, "{}", matrix.render());
     assert_eq!(matrix.stats.retries, 0, "deterministic failures are never retried");
     for o in &matrix.outcomes {
-        let impossible = o.cell.family == "nvlink"
-            || (o.cell.family == "parallel-sfu" && o.cell.faults != "none");
+        let impossible = o.cell.family == Family::Nvlink
+            || (o.cell.family == Family::ParallelSfu && o.cell.faults != "none");
         match &o.status {
             CellStatus::Failed { error, attempts } => {
                 assert!(impossible, "unexpected failure on {}: {error}", o.key);
@@ -202,7 +202,8 @@ fn impossible_cells_fail_fast_with_typed_errors_and_spare_their_neighbors() {
 
 #[test]
 fn bad_requests_and_bad_fault_axes_are_run_level_errors() {
-    let unknown_family = SweepRequest { families: vec!["l3".into()], ..SweepRequest::default() };
+    // `sfu` is a family, but not one of the sweep's matrix rows.
+    let unknown_family = SweepRequest { families: vec![Family::Sfu], ..SweepRequest::default() };
     assert!(matches!(SweepService::new(unknown_family), Err(ServeError::Request(_))));
 
     let bad_fault = SweepRequest { faults: vec!["seed=banana".into()], ..SweepRequest::default() };

@@ -19,14 +19,14 @@ use gpgpu_covert::bits::Message;
 use gpgpu_covert::cache_channel::L1Channel;
 use gpgpu_covert::calibrate::{pilot_pattern, Calibration};
 use gpgpu_sim::FamilyModel;
-use gpgpu_spec::presets;
+use gpgpu_spec::{presets, Family};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 fn l1_model() -> &'static AnalyticalModel {
     static MODEL: OnceLock<AnalyticalModel> = OnceLock::new();
     MODEL.get_or_init(|| {
-        AnalyticalModel::characterize_families(&presets::tesla_k40c(), &["l1"])
+        AnalyticalModel::characterize_families(&presets::tesla_k40c(), &[Family::L1])
             .expect("l1 characterization runs")
     })
 }
@@ -43,7 +43,7 @@ fn arb_family_model() -> impl Strategy<Value = FamilyModel> {
         0u64..256,      // err_knee, sixteenths
     )
         .prop_map(|(fixed, base, slope, err_sat, err_knee)| FamilyModel {
-            family: "arb".into(),
+            family: Family::L1,
             knob: "iterations".into(),
             fixed: fixed as f64 / 16.0,
             base: base as f64 / 16.0,
@@ -107,7 +107,7 @@ proptest! {
         // has no prop_assume; an early return discards the case).
         if simulator_confident(sim.ber) {
             let pred =
-                l1_model().predict("l1", iterations as f64, &msg).expect("l1 characterized");
+                l1_model().predict(Family::L1, iterations as f64, &msg).expect("l1 characterized");
             prop_assert_eq!(
                 pred.verdict,
                 ChannelVerdict::from_ber(sim.ber),

@@ -14,8 +14,7 @@
 
 use gpgpu_covert::harness::TrialRunner;
 use gpgpu_serve::{CellResult, ChaosPlan, Journal, JournalError, ResultCache};
-use gpgpu_spec::sweep::FAMILY_LABELS;
-use gpgpu_spec::{SweepCell, SweepRequest};
+use gpgpu_spec::{Family, SweepCell, SweepRequest};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,7 +38,7 @@ fn arb_cell() -> impl Strategy<Value = SweepCell> {
     (0usize..3, 0usize..5, 1u64..40, 1u32..32, 0u64..1024, 0usize..3, 0usize..2).prop_map(
         |(d, f, iters, bits, seed, fault, defense)| SweepCell {
             device: DEVICES[d].to_string(),
-            family: FAMILY_LABELS[f].to_string(),
+            family: Family::MATRIX[f],
             iterations: iters,
             bits,
             seed,
@@ -107,9 +106,9 @@ proptest! {
         if extra_d != d {
             devices.push(DEVICES[extra_d].to_string());
         }
-        let mut families = vec![FAMILY_LABELS[f].to_string()];
+        let mut families = vec![Family::MATRIX[f]];
         if extra_f != f {
-            families.push(FAMILY_LABELS[extra_f].to_string());
+            families.push(Family::MATRIX[extra_f]);
         }
         let request = SweepRequest {
             devices,
