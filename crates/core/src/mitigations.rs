@@ -260,6 +260,14 @@ mod tests {
         assert_eq!(Family::ParallelSfu.to_string(), "parallel-sfu");
         assert_eq!(MitigationVerdict::BaselineBroken.to_string(), "baseline-broken");
     }
+
+    #[test]
+    fn mitigation_to_defense_round_trips_through_tuning() {
+        // The lowering `evaluate_against_family` applies to a defense.
+        let d = DefenseSpec::from_spec("randsched=0xD1CE").unwrap();
+        assert_eq!(DeviceTuning::from_defense(&d).random_warp_scheduler, Some(0xD1CE));
+        assert_eq!(d.to_spec(), "randsched=0xd1ce");
+    }
 }
 
 /// Contention-anomaly detection (the paper's other Section-9 direction:

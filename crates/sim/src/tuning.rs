@@ -255,11 +255,6 @@ mod tests {
         assert_eq!(t.cache_partitions, 2);
         assert_eq!(t.random_warp_scheduler, Some(0xD1CE));
         assert_eq!(t.clock_granularity, 4096);
-        // A single scheduler-randomization component lowers alone and
-        // renders canonically.
-        let randsched = gpgpu_spec::DefenseSpec::from_spec("randsched=0xD1CE").unwrap();
-        assert_eq!(DeviceTuning::from_defense(&randsched).random_warp_scheduler, Some(0xD1CE));
-        assert_eq!(randsched.to_spec(), "randsched=0xd1ce");
         assert_eq!(
             DeviceTuning::from_defense(&gpgpu_spec::DefenseSpec::none()),
             DeviceTuning::none()
