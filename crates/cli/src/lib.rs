@@ -996,6 +996,8 @@ mod tests {
         assert!(Args::parse(&argv("faults --faults")).is_err());
         let err = Args::parse(&argv("faults --faults seed=banana")).unwrap_err();
         assert!(err.contains("invalid --faults spec"), "{err}");
+        let err = Args::parse(&argv("faults --faults seed=1,seed=2")).unwrap_err();
+        assert!(err.contains("invalid --faults spec"), "{err}");
         assert!(Args::parse(&argv("l1 --faults kinds=frobnicate")).is_err());
         assert!(Args::parse(&argv("faults --faults intensity=2.0")).is_err());
     }
@@ -1096,6 +1098,7 @@ mod tests {
             "devices=kepler+kepler,link=0-7",
             "devices=kepler+kepler,link=0-0",
             "link=0-1",
+            "devices=kepler,devices=kepler,link=0-1",
         ] {
             let err = Args::parse(&argv(&format!("nvlink --topology {bad}"))).unwrap_err();
             assert!(err.contains("invalid --topology spec"), "{bad}: {err}");
@@ -1136,7 +1139,9 @@ mod tests {
         }
         // Missing value and malformed specs fail at parse time.
         assert!(Args::parse(&argv("l1 --defense")).is_err());
-        for bad in ["partition=1", "fuzz=banana", "wat=3", "partition=2,partition=2"] {
+        for bad in
+            ["partition=1", "fuzz=banana", "wat=3", "partition=2,partition=2", "fuzz=8,fuzz=8"]
+        {
             let err = Args::parse(&argv(&format!("l1 --defense {bad}"))).unwrap_err();
             assert!(err.contains("invalid --defense spec"), "{bad}: {err}");
         }

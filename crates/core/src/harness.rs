@@ -206,26 +206,6 @@ impl fmt::Display for TrialError {
 
 impl std::error::Error for TrialError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) over `bytes`.
-///
-/// The shared integrity primitive for the workspace's crash-safe file
-/// formats: [`TrialRunner::run_checkpointed`] lines and the `gpgpu-serve`
-/// result-cache entries both carry one, so a flipped byte anywhere in a
-/// stored payload is *detected* (typed error, recompute) instead of being
-/// resumed as silently-wrong data. Bitwise (no table): these files are
-/// small and cold, clarity wins.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// Stringifies a panic payload (the `&str` / `String` payloads `panic!`
 /// produces; anything else becomes a placeholder).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -445,171 +425,6 @@ impl TrialRunner {
             .collect()
     }
 
-    /// As [`TrialRunner::run`], checkpointing results to `path` so an
-    /// interrupted sweep resumes instead of recomputing: completed trials
-    /// are appended to the file (header + one `encode`d line per trial, in
-    /// index order, flushed as the contiguous done-prefix grows), and on
-    /// the next call with the same `path` the contiguous prefix of intact
-    /// lines is trusted and only the remainder is run. The header pins the
-    /// base seed and trial count, so a checkpoint can never silently resume
-    /// a *different* sweep; each result line is prefixed with its
-    /// [`crc32`], so a torn tail (crash mid-write) *and* a byte flipped at
-    /// rest (disk rot, hostile edit) both end the trusted prefix instead of
-    /// being resumed as silently-wrong data — `decode` alone could accept a
-    /// corrupted-but-parseable number.
-    ///
-    /// `encode` must produce a single line (no `\n`).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures reading or writing `path`, and
-    /// [`std::io::ErrorKind::InvalidData`] when the file's header does not
-    /// match this runner's base seed and `trials`.
-    ///
-    /// # Panics
-    ///
-    /// As [`TrialRunner::run`] — a panicking trial is re-raised after the
-    /// batch drains, with every completed trial up to the panic already
-    /// flushed to the checkpoint.
-    pub fn run_checkpointed<T, F, Enc, Dec>(
-        &self,
-        trials: usize,
-        path: &std::path::Path,
-        encode: Enc,
-        decode: Dec,
-        f: F,
-    ) -> std::io::Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(Trial) -> T + Sync,
-        Enc: Fn(&T) -> String + Sync,
-        Dec: Fn(&str) -> Option<T>,
-    {
-        use std::io::Write;
-        let header =
-            format!("gpgpu-sweep-checkpoint v2 base_seed={:#018x} trials={trials}", self.base_seed);
-        // A stored line is `<crc32 hex> <payload>`; only payloads whose
-        // checksum verifies are offered to `decode`.
-        let armor = |payload: &str| format!("{:08x} {payload}", crc32(payload.as_bytes()));
-        let disarm = |line: &str| -> Option<String> {
-            let (crc_hex, payload) = line.split_once(' ')?;
-            let stored = u32::from_str_radix(crc_hex, 16).ok()?;
-            (crc_hex.len() == 8 && stored == crc32(payload.as_bytes())).then(|| payload.to_string())
-        };
-        let mut done: Vec<T> = Vec::new();
-        // Read lossily: corruption that breaks UTF-8 should end the trusted
-        // prefix at that line (its CRC cannot verify), not fail the resume.
-        match std::fs::read(path) {
-            Ok(bytes) => {
-                let text = String::from_utf8_lossy(&bytes);
-                let mut lines = text.lines();
-                match lines.next() {
-                    Some(h) if h == header => {
-                        for line in lines {
-                            if done.len() >= trials {
-                                break;
-                            }
-                            match disarm(line).and_then(|payload| decode(&payload)) {
-                                Some(v) => done.push(v),
-                                None => break,
-                            }
-                        }
-                    }
-                    Some(h) => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("checkpoint header mismatch: expected `{header}`, found `{h}`"),
-                        ));
-                    }
-                    None => {}
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        // Rewrite header + trusted prefix, dropping any undecodable tail.
-        let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(writer, "{header}")?;
-        for v in &done {
-            writeln!(writer, "{}", armor(&encode(v)))?;
-        }
-        writer.flush()?;
-        let resumed_at = done.len();
-        if resumed_at >= trials {
-            return Ok(done);
-        }
-
-        type Slot<T> = Mutex<Option<Result<T, Box<dyn std::any::Any + Send>>>>;
-        let pending: Vec<Slot<T>> = (resumed_at..trials).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(resumed_at);
-        // (writer, next index to flush, first write error). Lock order is
-        // always sink → slot; slot writers never hold a slot lock while
-        // waiting on the sink.
-        let sink = Mutex::new((writer, resumed_at, None::<std::io::Error>));
-        let effective = self.workers.min(trials - resumed_at).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..effective {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= trials {
-                        break;
-                    }
-                    let value = catch_unwind(AssertUnwindSafe(|| f(self.trial(i))));
-                    *pending[i - resumed_at]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(value);
-                    let mut guard = sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let (writer, flushed, err) = &mut *guard;
-                    while *flushed < trials {
-                        let slot = pending[*flushed - resumed_at]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        match slot.as_ref() {
-                            Some(Ok(v)) => {
-                                if err.is_none() {
-                                    let line = armor(&encode(v));
-                                    if let Err(e) =
-                                        writeln!(writer, "{line}").and_then(|()| writer.flush())
-                                    {
-                                        *err = Some(e);
-                                    }
-                                }
-                            }
-                            // A panicked trial (or one still running) stops
-                            // the contiguous flush; resume recomputes from
-                            // here.
-                            Some(Err(_)) | None => break,
-                        }
-                        *flushed += 1;
-                    }
-                });
-            }
-        });
-        let (mut writer, _, err) =
-            sink.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-        writer.flush()?;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        let mut first_panic = None;
-        for slot in pending {
-            match slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every trial index was claimed exactly once")
-            {
-                Ok(v) => done.push(v),
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        Ok(done)
-    }
-
     /// Maps `f` over `items` in parallel, preserving item order — the sweep
     /// form of [`TrialRunner::run`] (one trial per sweep point).
     pub fn map<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
@@ -815,107 +630,6 @@ mod tests {
         assert_eq!(out[5], Ok(5));
         // The error type prints something a human can act on.
         assert!(out[2].as_ref().unwrap_err().to_string().contains("1000-cycle deadline"));
-    }
-
-    #[test]
-    fn checkpoint_resumes_without_recomputing_the_done_prefix() {
-        let dir = std::env::temp_dir().join(format!("gpgpu-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("resume.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let r = TrialRunner::sequential().with_workers(3).with_base_seed(99);
-        let enc = |v: &u64| v.to_string();
-        let dec = |s: &str| s.parse::<u64>().ok();
-        let computed = AtomicUsize::new(0);
-        let work = |t: Trial| {
-            computed.fetch_add(1, Ordering::Relaxed);
-            t.seed ^ t.index as u64
-        };
-        let full = r.run_checkpointed(12, &path, enc, dec, work).unwrap();
-        assert_eq!(computed.load(Ordering::Relaxed), 12);
-        assert_eq!(full, r.run(12, |t| t.seed ^ t.index as u64));
-
-        // Truncate the checkpoint to 7 results + a torn partial line.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let keep: Vec<&str> = text.lines().take(8).collect();
-        std::fs::write(&path, format!("{}\ngarbage-tail", keep.join("\n"))).unwrap();
-        computed.store(0, Ordering::Relaxed);
-        let resumed = r.run_checkpointed(12, &path, enc, dec, work).unwrap();
-        assert_eq!(resumed, full, "resume reproduces the identical batch");
-        assert_eq!(computed.load(Ordering::Relaxed), 5, "only the missing tail was recomputed");
-
-        // A finished checkpoint recomputes nothing.
-        computed.store(0, Ordering::Relaxed);
-        assert_eq!(r.run_checkpointed(12, &path, enc, dec, work).unwrap(), full);
-        assert_eq!(computed.load(Ordering::Relaxed), 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn checkpoint_rejects_a_mismatched_sweep() {
-        let dir = std::env::temp_dir().join(format!("gpgpu-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mismatch.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let enc = |v: &u64| v.to_string();
-        let dec = |s: &str| s.parse::<u64>().ok();
-        let a = TrialRunner::sequential().with_base_seed(1);
-        a.run_checkpointed(4, &path, enc, dec, |t| t.seed).unwrap();
-        // Different base seed => different sweep => refuse to resume.
-        let b = TrialRunner::sequential().with_base_seed(2);
-        let err = b.run_checkpointed(4, &path, enc, dec, |t| t.seed).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // Different trial count is a different sweep too.
-        let err = a.run_checkpointed(8, &path, enc, dec, |t| t.seed).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The canonical CRC-32 check: crc32("123456789") == 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
-    }
-
-    #[test]
-    fn checkpoint_rejects_a_flipped_byte_not_just_a_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("gpgpu-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("flip.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let r = TrialRunner::sequential().with_workers(2).with_base_seed(3);
-        let enc = |v: &u64| v.to_string();
-        let dec = |s: &str| s.parse::<u64>().ok();
-        let full = r.run_checkpointed(6, &path, enc, dec, |t| t.seed).unwrap();
-
-        // Flip one digit inside the *third* stored payload. The corrupted
-        // line still parses as a number, so a CRC-less resume would have
-        // accepted a silently-wrong value; the armor must end the trusted
-        // prefix there instead.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let mut bytes = lines[3].clone().into_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] = if bytes[last] == b'0' { b'1' } else { b'0' };
-        lines[3] = String::from_utf8(bytes).unwrap();
-        std::fs::write(&path, lines.join("\n")).unwrap();
-
-        let computed = AtomicUsize::new(0);
-        let resumed = r
-            .run_checkpointed(6, &path, enc, dec, |t| {
-                computed.fetch_add(1, Ordering::Relaxed);
-                t.seed
-            })
-            .unwrap();
-        assert_eq!(resumed, full, "resume reproduces the uncorrupted batch");
-        assert_eq!(
-            computed.load(Ordering::Relaxed),
-            4,
-            "the intact 2-line prefix is trusted, the corrupt line and after recompute"
-        );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

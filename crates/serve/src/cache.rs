@@ -19,7 +19,7 @@
 //!   (moved aside for post-mortem, never re-read) and the cell recomputed.
 
 use gpgpu_covert::channel::ChannelOutcome;
-use gpgpu_covert::harness::crc32;
+use gpgpu_spec::codec;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -36,6 +36,25 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) over `bytes`.
+///
+/// The integrity primitive of this crate's crash-safe file formats: cache
+/// entries and [`crate::journal`] lines both carry one, so a flipped byte
+/// anywhere in a stored payload is *detected* (typed error, recompute)
+/// instead of being resumed as silently-wrong data. Bitwise (no table):
+/// these files are small and cold, clarity wins.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc: u32 = !0;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
 }
 
 /// The memoized observable outcome of one sweep cell: everything a client
@@ -98,45 +117,24 @@ impl CellResult {
 
     /// Parses [`CellResult::encode`]'s format; `None` for anything else.
     pub fn decode(line: &str) -> Option<Self> {
-        let mut cycles = None;
-        let mut bw = None;
-        let mut ber = None;
-        let mut sent = None;
-        let mut rx = None;
-        for (i, part) in line.split(';').enumerate() {
-            let (key, value) = part.split_once('=')?;
-            match (i, key) {
-                (0, "cycles") => cycles = Some(value.parse().ok()?),
-                (1, "bw") => bw = Some(parse_hex_u64(value)?),
-                (2, "ber") => ber = Some(parse_hex_u64(value)?),
-                (3, "sent") => sent = Some(value.parse().ok()?),
-                (4, "rx") => {
-                    let mut bits = Vec::with_capacity(value.len());
-                    for c in value.chars() {
-                        bits.push(match c {
-                            '0' => false,
-                            '1' => true,
-                            _ => return None,
-                        });
-                    }
-                    rx = Some(bits);
-                }
-                _ => return None,
-            }
-        }
+        let pairs = codec::pairs(line.split(';'), &[]).ok()?;
+        let [("cycles", cycles), ("bw", bw), ("ber", ber), ("sent", sent), ("rx", rx)] = pairs[..]
+        else {
+            return None;
+        };
+        let bit = |c| match c {
+            '0' => Some(false),
+            '1' => Some(true),
+            _ => None,
+        };
         Some(CellResult {
-            sent: sent?,
-            received: rx?,
-            cycles: cycles?,
-            bandwidth_kbps: f64::from_bits(bw?),
-            ber: f64::from_bits(ber?),
+            sent: codec::field("sent", sent).ok()?,
+            received: rx.chars().map(bit).collect::<Option<_>>()?,
+            cycles: codec::field("cycles", cycles).ok()?,
+            bandwidth_kbps: f64::from_bits(codec::u64_field("bw", bw).ok()?),
+            ber: f64::from_bits(codec::u64_field("ber", ber).ok()?),
         })
     }
-}
-
-/// Parses `0x`-prefixed 64-bit hex.
-fn parse_hex_u64(value: &str) -> Option<u64> {
-    u64::from_str_radix(value.strip_prefix("0x")?, 16).ok()
 }
 
 /// Why a cache entry could not be served, tied to the file involved.
@@ -372,6 +370,14 @@ mod tests {
             bandwidth_kbps: 74.25,
             ber: 0.25,
         }
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        // The canonical CRC-32 check: crc32("123456789") == 0xCBF43926.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 
     #[test]

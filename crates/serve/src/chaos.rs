@@ -23,6 +23,7 @@
 //! of roughly every `k`-th cell (seeded selection, `0` disables); `none`
 //! is the empty plan.
 
+use gpgpu_spec::codec;
 use std::fmt;
 
 /// Per-decision salts so the kill, stall, corruption and site draws are
@@ -157,43 +158,14 @@ impl ChaosPlan {
             return Err("empty chaos spec (use `none` for no chaos)".to_string());
         }
         let mut out = ChaosPlan::none();
-        let mut seen: Vec<&str> = Vec::new();
-        for part in trimmed.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                part.split_once('=').ok_or_else(|| format!("expected key=value, got `{part}`"))?;
-            let (key, value) = (key.trim(), value.trim());
-            if seen.contains(&key) {
-                return Err(format!("duplicate chaos key `{key}`"));
-            }
+        for (key, value) in codec::pairs(trimmed.split(','), &[])? {
             match key {
-                "seed" => {
-                    out.seed =
-                        match value.strip_prefix("0x").or_else(|| value.strip_prefix("0X")) {
-                            Some(hex) => u64::from_str_radix(hex, 16),
-                            None => value.parse(),
-                        }
-                        .map_err(|_| format!("invalid chaos seed `{value}`"))?;
-                }
-                "kills" => {
-                    out.kills =
-                        value.parse().map_err(|_| format!("invalid kills bound `{value}`"))?;
-                }
-                "stalls" => {
-                    out.stalls =
-                        value.parse().map_err(|_| format!("invalid stalls bound `{value}`"))?;
-                }
-                "corrupt" => {
-                    out.corrupt =
-                        value.parse().map_err(|_| format!("invalid corrupt period `{value}`"))?;
-                }
+                "seed" => out.seed = codec::u64_field(key, value)?,
+                "kills" => out.kills = codec::field(key, value)?,
+                "stalls" => out.stalls = codec::field(key, value)?,
+                "corrupt" => out.corrupt = codec::field(key, value)?,
                 other => return Err(format!("unknown chaos key `{other}`")),
             }
-            seen.push(match key {
-                "seed" => "seed",
-                "kills" => "kills",
-                "stalls" => "stalls",
-                _ => "corrupt",
-            });
         }
         Ok(out)
     }

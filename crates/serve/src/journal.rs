@@ -3,16 +3,15 @@
 //! The content-addressed cache already survives crashes (entries are
 //! atomic), but a run may be configured *without* a cache, and even with
 //! one a resume should not have to re-hash every cell against the cache
-//! directory. The journal mirrors the `run_checkpointed` design from
-//! `gpgpu-covert::harness`: a header that pins exactly which request (and
-//! grid size) the file belongs to, then one CRC-armored line per completed
-//! cell in completion order, flushed as written. After a `kill -9`,
-//! [`Journal::resume`] trusts the contiguous prefix of intact lines — a
-//! torn tail or a byte flipped at rest ends the prefix with a typed
+//! directory. The journal is the workspace's one resume format: a header
+//! that pins exactly which request (and grid size) the file belongs to,
+//! then one CRC-armored line per completed cell in completion order,
+//! flushed as written. After a `kill -9`, [`Journal::resume`] trusts the
+//! contiguous prefix of intact lines — a torn tail or a byte flipped at
+//! rest (even one that breaks UTF-8) ends the prefix with a typed
 //! [`JournalError`], never a panic and never silently-wrong data.
 
-use crate::cache::CellResult;
-use gpgpu_covert::harness::crc32;
+use crate::cache::{crc32, CellResult};
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -122,14 +121,18 @@ impl Journal {
     ) -> Result<(Journal, JournalRecovery), JournalError> {
         let io_err = |e: std::io::Error| JournalError::Io { error: e.to_string() };
         let expected = Journal::header(request_hash, cells);
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
+        // Read lossily: a flipped byte that breaks UTF-8 must end the
+        // trusted prefix at its line (the CRC cannot verify), not refuse the
+        // whole journal.
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 let journal = Journal::create(path, request_hash, cells)?;
                 return Ok((journal, JournalRecovery { entries: Vec::new(), damage: None }));
             }
             Err(e) => return Err(io_err(e)),
         };
+        let text = String::from_utf8_lossy(&bytes);
         let mut lines = text.lines();
         match lines.next() {
             Some(h) if h == expected => {}

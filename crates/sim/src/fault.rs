@@ -35,6 +35,7 @@
 
 use crate::tuning::splitmix64;
 use gpgpu_mem::ConstHierarchy;
+use gpgpu_spec::codec;
 
 /// Per-kind salts decorrelating the six fault streams drawn from one seed.
 const SALT_EVICT: u64 = 0xE51C_7B01;
@@ -175,43 +176,34 @@ impl FaultPlan {
     /// comma-separated `key=value` pairs with keys `seed`, `intensity`,
     /// `period`, `burst`, `set` and `kinds` (a `+`-separated subset of
     /// `evict`, `jitter`, `skew`, `clock`, `storm`, `link`, or
-    /// `all`/`none`). Omitted keys keep the [`FaultPlan::new`] defaults
-    /// (seed 0).
+    /// `all`/`none`). The seed accepts decimal or `0x` hex. Omitted keys
+    /// keep the [`FaultPlan::new`] defaults (seed 0).
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown keys/kinds, malformed
-    /// numbers, `period=0`, `burst > period` or intensity outside `[0, 1]`.
+    /// Returns a human-readable message for unknown or repeated keys,
+    /// unknown kinds, malformed numbers, `period=0`, `burst > period` or
+    /// intensity outside `[0, 1]`.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::new(0);
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                part.split_once('=').ok_or_else(|| format!("expected key=value, got `{part}`"))?;
-            match key.trim() {
-                "seed" => {
-                    plan.seed = value.parse().map_err(|_| format!("invalid seed `{value}`"))?;
-                }
+        for (key, value) in codec::pairs(spec.split(','), &[])? {
+            match key {
+                "seed" => plan.seed = codec::u64_field(key, value)?,
                 "intensity" => {
-                    let i: f64 =
-                        value.parse().map_err(|_| format!("invalid intensity `{value}`"))?;
+                    let i: f64 = codec::field(key, value)?;
                     if !(0.0..=1.0).contains(&i) {
                         return Err(format!("intensity {i} outside [0, 1]"));
                     }
                     plan.intensity = i;
                 }
                 "period" => {
-                    plan.period = value.parse().map_err(|_| format!("invalid period `{value}`"))?;
+                    plan.period = codec::field(key, value)?;
                     if plan.period == 0 {
                         return Err("period must be >= 1".to_string());
                     }
                 }
-                "burst" => {
-                    plan.burst = value.parse().map_err(|_| format!("invalid burst `{value}`"))?;
-                }
-                "set" => {
-                    plan.target_set =
-                        value.parse().map_err(|_| format!("invalid set `{value}`"))?;
-                }
+                "burst" => plan.burst = codec::field(key, value)?,
+                "set" => plan.target_set = codec::field(key, value)?,
                 "kinds" => {
                     let mut kinds = FaultKinds::none();
                     for kind in value.split('+').map(str::trim) {
@@ -501,6 +493,8 @@ mod tests {
         // Omitted keys keep defaults.
         let sparse = FaultPlan::from_spec("seed=9").unwrap();
         assert_eq!(sparse, FaultPlan::new(9));
+        // The seed takes hex like every other seed.
+        assert_eq!(FaultPlan::from_spec("seed=0x10"), FaultPlan::from_spec("seed=16"));
         // Empty spec is the all-default plan.
         assert_eq!(FaultPlan::from_spec("").unwrap(), FaultPlan::new(0));
         // kinds=none round-trips.
@@ -519,6 +513,7 @@ mod tests {
             "period=1000,burst=2000",
             "kinds=evict+meteor",
             "frequency=3",
+            "seed=1,seed=2",
         ] {
             assert!(FaultPlan::from_spec(bad).is_err(), "`{bad}` should be rejected");
         }

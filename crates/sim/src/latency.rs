@@ -22,7 +22,7 @@
 //! shortest-round-trip representation — so a table dumped by the CLI's
 //! `characterize` subcommand reloads bit-identically.
 
-use gpgpu_spec::Family;
+use gpgpu_spec::{codec, Family};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -259,10 +259,7 @@ impl LatencyTable {
                     let class = OpClass::from_label(label)
                         .ok_or_else(|| err(format!("unknown op class `{label}`")))?;
                     let value = parts.next().ok_or_else(|| err("op row missing value".into()))?;
-                    let cycles = value
-                        .parse::<f64>()
-                        .map_err(|_| err(format!("bad op latency `{value}`")))?;
-                    table.set_op(class, cycles);
+                    table.set_op(class, codec::field(label, value).map_err(err)?);
                 }
                 Some("family") => {
                     let label =
@@ -279,27 +276,23 @@ impl LatencyTable {
                         err_sat: 0.0,
                         err_knee: 0.0,
                     };
-                    for field in parts {
-                        let (key, value) = field
-                            .split_once('=')
-                            .ok_or_else(|| err(format!("bad family field `{field}`")))?;
-                        if key == "knob" {
-                            model.knob = value.to_string();
-                            continue;
-                        }
-                        let v = value
-                            .parse::<f64>()
-                            .map_err(|_| err(format!("bad family value `{field}`")))?;
-                        match key {
-                            "fixed" => model.fixed = v,
-                            "base" => model.base = v,
-                            "slope" => model.slope = v,
-                            "lo" => model.knob_lo = v,
-                            "hi" => model.knob_hi = v,
-                            "esat" => model.err_sat = v,
-                            "eknee" => model.err_knee = v,
+                    for (key, value) in codec::pairs(parts, &[]).map_err(err)? {
+                        let slot = match key {
+                            "knob" => {
+                                model.knob = value.to_string();
+                                continue;
+                            }
+                            "fixed" => &mut model.fixed,
+                            "base" => &mut model.base,
+                            "slope" => &mut model.slope,
+                            "lo" => &mut model.knob_lo,
+                            "hi" => &mut model.knob_hi,
+                            "esat" => &mut model.err_sat,
+                            "eknee" => &mut model.err_knee,
                             other => return Err(err(format!("unknown family field `{other}`"))),
-                        }
+                        };
+                        *slot = codec::field(key, value)
+                            .map_err(|e| err(format!("bad family value: {e}")))?;
                     }
                     table.set_family(model);
                 }
@@ -390,6 +383,8 @@ mod tests {
         let e = LatencyTable::from_spec(&text).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.reason.contains("unknown channel family `l3`"), "{e}");
+        let text = format!("{HEADER} device=kepler\nfamily l1 knob=iterations knob=window\n");
+        assert!(LatencyTable::from_spec(&text).unwrap_err().reason.contains("duplicate key"));
         let text = format!("{HEADER} device=kepler\nrow l1\n");
         assert!(LatencyTable::from_spec(&text).unwrap_err().reason.contains("unknown row kind"));
         assert_eq!(LatencyTable::from_spec("").unwrap_err().line, 0);

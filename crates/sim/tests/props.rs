@@ -3,8 +3,8 @@
 //! liveness of arbitrary straight-line programs.
 
 use gpgpu_isa::{Instr, Program, Reg, NUM_REGS};
-use gpgpu_sim::{Device, KernelSpec};
-use gpgpu_spec::{presets, LaunchConfig};
+use gpgpu_sim::{Device, FamilyModel, KernelSpec, LatencyTable, OpClass};
+use gpgpu_spec::{presets, Family, LaunchConfig};
 use proptest::prelude::*;
 
 /// A host-side reference interpreter for the ALU/result subset of the ISA.
@@ -198,5 +198,61 @@ proptest! {
         let restored = observe(&mut dev);
         let fresh = observe(&mut Device::new(presets::tesla_k40c()));
         prop_assert_eq!(restored, fresh);
+    }
+}
+
+/// Any finite `f64`, from an arbitrary bit pattern (the table grammar
+/// round-trips every finite value; NaN has no equality to round-trip).
+fn finite(bits: u64) -> f64 {
+    let v = f64::from_bits(bits);
+    if v.is_finite() {
+        v
+    } else {
+        (bits >> 11) as f64
+    }
+}
+
+/// An arbitrary characterized table: any subset of op rows and family
+/// models, with arbitrary finite numbers.
+fn latency_table() -> impl Strategy<Value = LatencyTable> {
+    let ops = proptest::collection::vec(any::<u64>(), OpClass::ALL.len());
+    let models = proptest::collection::vec(
+        (any::<u32>(), proptest::collection::vec(any::<u64>(), 7)),
+        Family::ALL.len(),
+    );
+    (any::<u16>(), any::<u64>(), ops, models).prop_map(|(device, mask, ops, models)| {
+        let mut t = LatencyTable::new(format!("dev{device}"));
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            if mask >> i & 1 == 1 {
+                t.set_op(class, finite(ops[i]));
+            }
+        }
+        for (i, family) in Family::ALL.into_iter().enumerate() {
+            if mask >> (16 + i) & 1 == 1 {
+                let (knob, v) = &models[i];
+                t.set_family(FamilyModel {
+                    family,
+                    knob: format!("knob_{knob}"),
+                    fixed: finite(v[0]),
+                    base: finite(v[1]),
+                    slope: finite(v[2]),
+                    knob_lo: finite(v[3]),
+                    knob_hi: finite(v[4]),
+                    err_sat: finite(v[5]),
+                    err_knee: finite(v[6]),
+                });
+            }
+        }
+        t
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The latency-table grammar round-trips every table exactly.
+    #[test]
+    fn latency_tables_round_trip(t in latency_table()) {
+        prop_assert_eq!(LatencyTable::from_spec(&t.to_spec()), Ok(t));
     }
 }

@@ -36,6 +36,7 @@
 //! assert!(DefenseSpec::none().is_none());
 //! ```
 
+use crate::codec;
 use crate::error::SpecError;
 use std::fmt;
 
@@ -226,40 +227,19 @@ impl DefenseSpec {
             return Err(invalid("empty defense spec (use `none` for no defense)".into()));
         }
         let mut out = DefenseSpec::none();
-        for part in trimmed.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| invalid(format!("expected key=value, got `{part}`")))?;
-            let value = value.trim();
-            let component = match key.trim() {
-                "partition" => {
-                    let partitions: u32 = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid partition count `{value}`")))?;
-                    DefenseComponent::CachePartitioning { partitions }
-                }
-                "randsched" => {
-                    let seed =
-                        match value.strip_prefix("0x").or_else(|| value.strip_prefix("0X")) {
-                            Some(hex) => u64::from_str_radix(hex, 16),
-                            None => value.parse(),
-                        }
-                        .map_err(|_| invalid(format!("invalid scheduler seed `{value}`")))?;
-                    DefenseComponent::RandomizedWarpScheduling { seed }
-                }
-                "fuzz" => {
-                    let granularity: u64 = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid clock quantum `{value}`")))?;
-                    DefenseComponent::ClockFuzzing { granularity }
-                }
+        for (key, value) in codec::pairs(trimmed.split(','), &[]).map_err(invalid)? {
+            let component = match key {
+                "partition" => DefenseComponent::CachePartitioning {
+                    partitions: codec::field(key, value).map_err(invalid)?,
+                },
+                "randsched" => DefenseComponent::RandomizedWarpScheduling {
+                    seed: codec::u64_field(key, value).map_err(invalid)?,
+                },
+                "fuzz" => DefenseComponent::ClockFuzzing {
+                    granularity: codec::field(key, value).map_err(invalid)?,
+                },
                 other => return Err(invalid(format!("unknown defense key `{other}`"))),
             };
-            // Reject *any* repeated kind in a spec string, even a repeat of
-            // the identical component: a doubled key is a typo, not intent.
-            if out.components.iter().any(|c| c.same_kind(component)) {
-                return Err(invalid(format!("duplicate defense key `{}`", component.key())));
-            }
             out = out.with_component(component)?;
         }
         Ok(out)

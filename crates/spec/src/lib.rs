@@ -36,6 +36,7 @@
 
 pub mod arch;
 pub mod cache;
+pub mod codec;
 pub mod defense;
 pub mod device;
 pub mod error;

@@ -16,6 +16,7 @@
 //! topology/defense/sweep grammars).
 
 use crate::arch::Architecture;
+use crate::codec;
 use crate::error::SpecError;
 use crate::sm::SmSpec;
 use std::fmt;
@@ -170,63 +171,42 @@ impl ArchDescriptor {
     /// [`SpecError::InvalidSubCore`] on unknown keys, missing fields,
     /// malformed numbers, or an unknown architecture label.
     pub fn parse(spec: &str) -> Result<ArchDescriptor, SpecError> {
-        let fail = |reason: String| Err(SpecError::InvalidSubCore { reason });
+        let invalid = |reason: String| SpecError::InvalidSubCore { reason };
         let mut arch = None;
         let mut sub_cores = None;
         let mut issue = None;
         let mut regs = None;
         let mut dep = None;
         let mut sector = None;
-        for field in spec.split(';') {
-            let Some((key, value)) = field.split_once('=') else {
-                return fail(format!("field `{field}` is not key=value"));
-            };
+        for (key, value) in codec::pairs(spec.split(';'), &[]).map_err(invalid)? {
             match key {
                 "arch" => {
-                    arch = Some(Architecture::from_label(value).ok_or_else(|| {
-                        SpecError::InvalidSubCore {
-                            reason: format!("unknown architecture `{value}`"),
-                        }
-                    })?);
+                    arch = Some(
+                        Architecture::from_label(value)
+                            .ok_or_else(|| invalid(format!("unknown architecture `{value}`")))?,
+                    );
                 }
-                "subcores" | "issue" | "regs" => {
-                    let n: u32 = value.parse().map_err(|_| SpecError::InvalidSubCore {
-                        reason: format!("`{key}` value `{value}` is not a number"),
-                    })?;
-                    match key {
-                        "subcores" => sub_cores = Some(n),
-                        "issue" => issue = Some(n),
-                        _ => regs = Some(n),
-                    }
-                }
+                "subcores" => sub_cores = Some(codec::field(key, value).map_err(invalid)?),
+                "issue" => issue = Some(codec::field(key, value).map_err(invalid)?),
+                "regs" => regs = Some(codec::field(key, value).map_err(invalid)?),
                 "dep" => {
-                    dep = Some(DependenceMode::from_grammar_token(value).ok_or_else(|| {
-                        SpecError::InvalidSubCore {
-                            reason: format!("unknown dependence mode `{value}`"),
-                        }
-                    })?);
+                    dep =
+                        Some(DependenceMode::from_grammar_token(value).ok_or_else(|| {
+                            invalid(format!("unknown dependence mode `{value}`"))
+                        })?);
                 }
+                "sector" if value == "none" => sector = Some(None),
                 "sector" => {
-                    sector = Some(if value == "none" {
-                        None
-                    } else {
-                        let Some((bytes, per_line)) = value.split_once('x') else {
-                            return fail(format!("sector `{value}` is not BYTESxCOUNT or none"));
-                        };
-                        let parse = |s: &str| {
-                            s.parse::<u64>().map_err(|_| SpecError::InvalidSubCore {
-                                reason: format!("sector component `{s}` is not a number"),
-                            })
-                        };
-                        Some((parse(bytes)?, parse(per_line)?))
-                    });
+                    let (bytes, per_line) = value.split_once('x').ok_or_else(|| {
+                        invalid(format!("sector `{value}` is not BYTESxCOUNT or none"))
+                    })?;
+                    let count = |v: &str| codec::field("sector component", v).map_err(invalid);
+                    sector = Some(Some((count(bytes)?, count(per_line)?)));
                 }
-                _ => return fail(format!("unknown key `{key}`")),
+                _ => return Err(invalid(format!("unknown key `{key}`"))),
             }
         }
-        let missing = |name: &str| SpecError::InvalidSubCore {
-            reason: format!("missing required field `{name}`"),
-        };
+        let missing = |name: &str| invalid(format!("missing required field `{name}`"));
         Ok(ArchDescriptor {
             arch: arch.ok_or_else(|| missing("arch"))?,
             sub_core: SubCoreSpec {
@@ -320,6 +300,13 @@ mod tests {
             "arch=ampere;subcores=4;issue=1;regs=16384;dep=eager;sector=none"
         )
         .is_err());
+        assert!(
+            ArchDescriptor::parse(
+                "arch=kepler;arch=ampere;subcores=4;issue=1;regs=16384;dep=fixed;sector=32x4"
+            )
+            .is_err(),
+            "repeated key"
+        );
     }
 
     #[test]

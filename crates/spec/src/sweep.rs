@@ -38,6 +38,7 @@
 //! assert_eq!(r.cells().len(), 4); // 2 families x 2 symbol times
 //! ```
 
+use crate::codec;
 use crate::defense::DefenseSpec;
 use crate::error::SpecError;
 use crate::family::Family;
@@ -237,16 +238,7 @@ impl SweepRequest {
         if trimmed == "default" {
             return Ok(out);
         }
-        let mut seen: Vec<&str> = Vec::new();
-        for part in trimmed.split(';').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| invalid(format!("expected key=value, got `{part}`")))?;
-            let key = key.trim();
-            let value = value.trim();
-            if seen.contains(&key) {
-                return Err(invalid(format!("duplicate sweep field `{key}`")));
-            }
+        for (key, value) in codec::pairs(trimmed.split(';'), &[]).map_err(invalid)? {
             match key {
                 "device" => {
                     out.devices = value
@@ -263,21 +255,11 @@ impl SweepRequest {
                 "iters" => {
                     out.iterations = value
                         .split('+')
-                        .map(|v| {
-                            v.trim()
-                                .parse()
-                                .map_err(|_| invalid(format!("invalid iters value `{v}`")))
-                        })
+                        .map(|v| codec::field(key, v.trim()).map_err(invalid))
                         .collect::<Result<_, _>>()?;
                 }
-                "bits" => {
-                    out.bits =
-                        value.parse().map_err(|_| invalid(format!("invalid bits `{value}`")))?;
-                }
-                "seed" => {
-                    out.seed = parse_u64(value)
-                        .ok_or_else(|| invalid(format!("invalid seed `{value}`")))?;
-                }
+                "bits" => out.bits = codec::field(key, value).map_err(invalid)?,
+                "seed" => out.seed = codec::u64_field(key, value).map_err(invalid)?,
                 "faults" => {
                     out.faults = value.split('|').map(|f| f.trim().to_string()).collect();
                 }
@@ -298,17 +280,6 @@ impl SweepRequest {
                 }
                 other => return Err(invalid(format!("unknown sweep field `{other}`"))),
             }
-            // `seen` holds the canonical key name; `part` outlives the loop.
-            seen.push(match key {
-                "device" => "device",
-                "family" => "family",
-                "iters" => "iters",
-                "bits" => "bits",
-                "seed" => "seed",
-                "faults" => "faults",
-                "defense" => "defense",
-                _ => "topology",
-            });
         }
         out.validate()?;
         Ok(out)
@@ -408,14 +379,6 @@ fn canonical_defense(spec: &str) -> Result<String, SpecError> {
         return Ok("none".to_string());
     }
     Ok(d.to_spec())
-}
-
-/// Parses decimal or `0x` hex.
-fn parse_u64(value: &str) -> Option<u64> {
-    match value.strip_prefix("0x").or_else(|| value.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => value.parse().ok(),
-    }
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! assert_eq!(TopologySpec::from_spec(&t.to_spec()).unwrap(), t);
 //! ```
 
+use crate::codec;
 use crate::device::DeviceSpec;
 use crate::error::SpecError;
 use crate::presets;
@@ -254,51 +255,27 @@ impl TopologySpec {
         let invalid = |reason: String| SpecError::InvalidTopology { reason };
         let mut devices: Vec<String> = Vec::new();
         let mut links: Vec<LinkSpec> = Vec::new();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| invalid(format!("expected key=value, got `{part}`")))?;
-            match key.trim() {
-                "devices" => {
-                    for name in value.split('+').map(str::trim) {
-                        devices.push(name.to_string());
-                    }
-                }
+        for (key, value) in codec::pairs(spec.split(','), &["link"]).map_err(invalid)? {
+            match key {
+                "devices" => devices = value.split('+').map(|d| d.trim().to_string()).collect(),
                 "link" => {
-                    let mut fields = value.split(':').map(str::trim);
-                    let endpoints = fields
-                        .next()
-                        .ok_or_else(|| invalid(format!("empty link spec `{value}`")))?;
+                    let (endpoints, fields) = value.split_once(':').unwrap_or((value, ""));
                     let (a, b) = endpoints
                         .split_once('-')
                         .ok_or_else(|| invalid(format!("expected `a-b`, got `{endpoints}`")))?;
-                    let a: u32 = a
-                        .trim()
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid link endpoint `{a}`")))?;
-                    let b: u32 = b
-                        .trim()
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid link endpoint `{b}`")))?;
-                    let mut link = LinkSpec::between(a, b);
-                    for field in fields {
-                        let (fk, fv) = field.split_once('=').ok_or_else(|| {
-                            invalid(format!("expected field=value, got `{field}`"))
-                        })?;
-                        let n: u64 = fv
-                            .trim()
-                            .parse()
-                            .map_err(|_| invalid(format!("invalid link field value `{fv}`")))?;
-                        match fk.trim() {
-                            "lat" => link.latency_cycles = n,
-                            "slot" => link.slot_cycles = n,
-                            "lanes" => {
-                                link.lanes = u32::try_from(n)
-                                    .map_err(|_| invalid(format!("lane count {n} exceeds u32")))?;
+                    let endpoint =
+                        |v: &str| codec::field("link endpoint", v.trim()).map_err(invalid);
+                    let mut link = LinkSpec::between(endpoint(a)?, endpoint(b)?);
+                    for (key, value) in codec::pairs(fields.split(':'), &[]).map_err(invalid)? {
+                        match key {
+                            "lat" => {
+                                link.latency_cycles = codec::field(key, value).map_err(invalid)?
                             }
-                            other => {
-                                return Err(invalid(format!("unknown link field `{other}`")));
+                            "slot" => {
+                                link.slot_cycles = codec::field(key, value).map_err(invalid)?
                             }
+                            "lanes" => link.lanes = codec::field(key, value).map_err(invalid)?,
+                            other => return Err(invalid(format!("unknown link field `{other}`"))),
                         }
                     }
                     links.push(link);
@@ -349,6 +326,9 @@ mod tests {
         assert_eq!(t.links[0].lanes, 4);
         assert_eq!(t.links[0].slot_cycles, DEFAULT_SLOT_CYCLES, "omitted field keeps default");
         assert_eq!(TopologySpec::from_spec(&t.to_spec()).unwrap(), t);
+        // `link` is the one key that repeats.
+        let chain = TopologySpec::from_spec("devices=kepler+kepler+kepler,link=0-1,link=1-2");
+        assert_eq!(chain.unwrap().links.len(), 2);
     }
 
     #[test]
@@ -364,6 +344,8 @@ mod tests {
             "devices=kepler+kepler,link=0:1",
             "devices=kepler+kepler,link=0-1:warp=9",
             "devices=kepler+kepler,bridge=0-1",
+            "devices=kepler,devices=fermi", // repeated key
+            "devices=kepler+kepler,link=0-1:lat=2:lat=3",
             "kepler",
             "",
         ] {

@@ -388,42 +388,3 @@ fn panicking_and_deadline_trials_are_isolated_per_slot() {
     let seq = batch(&TrialRunner::sequential().with_deadline(1_000));
     assert_eq!(out, seq, "per-trial verdicts are worker-count independent");
 }
-
-#[test]
-fn checkpointed_sweep_resumes_deterministically_with_real_transmissions() {
-    let spec = presets::tesla_k40c();
-    let dir = std::env::temp_dir().join(format!("gpgpu-adaptive-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("l1-sweep.ckpt");
-    let _ = std::fs::remove_file(&path);
-    let runner = TrialRunner::sequential().with_workers(2).with_base_seed(0xCC);
-    let encode =
-        |m: &Message| m.bits().iter().map(|&b| if b { '1' } else { '0' }).collect::<String>();
-    let decode = |s: &str| {
-        s.chars()
-            .map(|c| match c {
-                '0' => Some(false),
-                '1' => Some(true),
-                _ => None,
-            })
-            .collect::<Option<Vec<bool>>>()
-            .map(Message::from_bits)
-    };
-    let work = |t: gpgpu_covert::harness::Trial| {
-        L1Channel::new(spec.clone())
-            .transmit(&Message::pseudo_random(8, t.seed))
-            .expect("transmits")
-            .received
-    };
-    let full = runner.run_checkpointed(6, &path, encode, decode, work).unwrap();
-    assert_eq!(full.len(), 6);
-
-    // Drop the last two results; the resume must recompute exactly those
-    // and reproduce the identical batch.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let keep: Vec<&str> = text.lines().take(5).collect();
-    std::fs::write(&path, keep.join("\n")).unwrap();
-    let resumed = runner.run_checkpointed(6, &path, encode, decode, work).unwrap();
-    assert_eq!(resumed, full);
-    let _ = std::fs::remove_file(&path);
-}

@@ -115,6 +115,12 @@ fn journal_resume_completes_a_hard_killed_run_bit_identically() {
     assert!(resumed.recovery_note.is_some(), "the torn line is reported, not hidden");
     assert_eq!(resumed.digest(), full.digest(), "resume must be bit-identical");
 
+    // A finished journal recomputes nothing.
+    let again = SweepService::new(grid()).unwrap().with_journal(&journal, true).run().unwrap();
+    assert_eq!((again.stats.computed, again.stats.resumed), (0, 8), "{:?}", again.stats);
+    assert!(again.recovery_note.is_none());
+    assert_eq!(again.digest(), full.digest());
+
     // A journal from a *different* request refuses to resume outright.
     let other = SweepRequest::from_spec("device=kepler;family=l1;iters=4;bits=8").unwrap();
     let err = SweepService::new(other).unwrap().with_journal(&journal, true).run().unwrap_err();
